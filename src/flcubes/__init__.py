@@ -17,25 +17,19 @@ from .errors import CapacityError
 from .formulas import (
     binom,
     coeff_by_recurrence,
-    cube_poly_rec,
     d_coeff,
-    degree_poly_rec,
     dm_coeff,
     fib,
     h_coeff,
-    indegree_poly_rec,
-    maxcube_poly_rec,
     padovan133,
     q_coeff,
     r_coeff,
-    rank_poly_rec,
     trinomial,
 )
 from .genfun import (
     RationalSeries,
     cube_gf,
     degree_gf,
-    degree_kernel_table,
     indegree_gf,
     maxcube_gf,
     rank_even_gf,
@@ -59,59 +53,3 @@ from .poset import FilterSet, Poset, fence, poset_from_text, poset_to_text, sfen
 from .verify import VerificationReport, run_verification
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CapacityError",
-    "CubeInterval",
-    "FilterSet",
-    "IntPoly",
-    "Interval",
-    "LatticeDiagram",
-    "Poset",
-    "RationalSeries",
-    "VerificationReport",
-    "binom",
-    "coeff_by_recurrence",
-    "convex_expansion",
-    "cube_gf",
-    "cube_poly_rec",
-    "cube_polynomial",
-    "d_coeff",
-    "degree_gf",
-    "degree_kernel_table",
-    "degree_poly_rec",
-    "degree_polynomial",
-    "deletion_cutting",
-    "dm_coeff",
-    "enumerate_cubes",
-    "fence",
-    "fib",
-    "filter_lattice",
-    "generic_cube_count",
-    "h_coeff",
-    "indegree_gf",
-    "indegree_poly_rec",
-    "indegree_polynomial",
-    "interval_diagram",
-    "is_cutting",
-    "iso_check",
-    "maxcube_gf",
-    "maxcube_poly_rec",
-    "maximal_cube_polynomial",
-    "outdegree_polynomial",
-    "padovan133",
-    "poset_from_text",
-    "poset_to_text",
-    "q_coeff",
-    "r_coeff",
-    "rank_even_gf",
-    "rank_gf",
-    "rank_odd_gf",
-    "rank_poly_rec",
-    "rank_polynomial",
-    "run_verification",
-    "sfence",
-    "to_dot",
-    "trinomial",
-    "underlying_graph",
-]

@@ -8,9 +8,11 @@ recurrence is consulted, so these results can arbitrate them.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import Iterable
 
 from .errors import CapacityError
 from .lattice import LatticeDiagram
@@ -121,12 +123,15 @@ def _scan(diagram: LatticeDiagram) -> _CubeScan:
 # -- polynomial censuses ----------------------------------------------------
 
 
+def _histogram(values: Iterable[int]) -> IntPoly:
+    """Coefficient k counts the occurrences of k among ``values``."""
+    counts = Counter(values)
+    return IntPoly(counts[k] for k in range(max(counts, default=-1) + 1))
+
+
 def rank_polynomial(diagram: LatticeDiagram) -> IntPoly:
     """Coefficient k counts the vertices of rank k."""
-    counts = [0] * (diagram.height + 1)
-    for r in diagram.ranks:
-        counts[r] += 1
-    return IntPoly(counts)
+    return _histogram(diagram.ranks)
 
 
 def enumerate_cubes(diagram: LatticeDiagram) -> list[CubeInterval]:
@@ -146,59 +151,28 @@ def enumerate_cubes(diagram: LatticeDiagram) -> list[CubeInterval]:
 
 def cube_polynomial(diagram: LatticeDiagram) -> IntPoly:
     """Coefficient k counts the induced k-dimensional hypercubes."""
-    scan = _scan(diagram)
-    counts: list[int] = []
-    for k in scan.cubes.values():
-        while len(counts) <= k:
-            counts.append(0)
-        counts[k] += 1
-    return IntPoly(counts)
+    return _histogram(_scan(diagram).cubes.values())
 
 
 def maximal_cube_polynomial(diagram: LatticeDiagram) -> IntPoly:
     """Coefficient k counts cubes contained in no other cube's vertex set."""
     scan = _scan(diagram)
-    counts: list[int] = []
-    for (a, j), k in scan.cubes.items():
-        if scan.is_contained(a, j, k):
-            continue
-        while len(counts) <= k:
-            counts.append(0)
-        counts[k] += 1
-    return IntPoly(counts)
+    return _histogram(k for (a, j), k in scan.cubes.items() if not scan.is_contained(a, j, k))
 
 
 def degree_polynomial(diagram: LatticeDiagram) -> IntPoly:
     """Coefficient k counts vertices of undirected degree k."""
-    counts: list[int] = []
-    for v in range(len(diagram)):
-        d = len(diagram.up_adj[v]) + len(diagram.down_adj[v])
-        while len(counts) <= d:
-            counts.append(0)
-        counts[d] += 1
-    return IntPoly(counts)
+    return _histogram(len(up) + len(down) for up, down in zip(diagram.up_adj, diagram.down_adj))
 
 
 def indegree_polynomial(diagram: LatticeDiagram) -> IntPoly:
     """Coefficient k counts vertices covered by exactly k elements."""
-    counts: list[int] = []
-    for v in range(len(diagram)):
-        d = len(diagram.up_adj[v])
-        while len(counts) <= d:
-            counts.append(0)
-        counts[d] += 1
-    return IntPoly(counts)
+    return _histogram(map(len, diagram.up_adj))
 
 
 def outdegree_polynomial(diagram: LatticeDiagram) -> IntPoly:
     """Coefficient k counts vertices covering exactly k elements."""
-    counts: list[int] = []
-    for v in range(len(diagram)):
-        d = len(diagram.down_adj[v])
-        while len(counts) <= d:
-            counts.append(0)
-        counts[d] += 1
-    return IntPoly(counts)
+    return _histogram(map(len, diagram.down_adj))
 
 
 # -- independent oracle -------------------------------------------------------

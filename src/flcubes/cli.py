@@ -23,10 +23,6 @@ from .verify import run_verification
 DOT_MAX_N = 14
 GF_MAX_TERMS = 64
 
-_TABLE_FAMILIES = tables.FAMILIES
-_GF_FAMILIES = ("rank", "cube", "maxcube", "degree", "indegree", "rank-even", "rank-odd")
-_METHODS = ("census", "recurrence", "closed", "gf")
-
 
 def _load_poset(path: str) -> Poset:
     try:
@@ -56,10 +52,10 @@ def main() -> None:
 
 
 @main.command()
-@click.argument("family", type=click.Choice(_TABLE_FAMILIES))
+@click.argument("family", type=click.Choice(tables.FAMILIES))
 @click.argument("from_n", metavar="FROM", type=int)
 @click.argument("to_n", metavar="TO", type=int)
-@click.argument("method", type=click.Choice(_METHODS))
+@click.argument("method", type=click.Choice(tuple(tables.METHODS)))
 @click.argument("fmt", metavar="FORMAT", type=click.Choice(("csv", "json")))
 @click.option(
     "--poset-file",
@@ -151,7 +147,7 @@ def dot(n, poset_file) -> None:
 
 
 @main.command()
-@click.argument("family", type=click.Choice(_GF_FAMILIES))
+@click.argument("family", type=click.Choice(tables.GF_FAMILIES))
 @click.argument("terms", type=int)
 def gf(family: str, terms: int) -> None:
     """Print TERMS coefficient polynomials of FAMILY's generating function."""

@@ -9,8 +9,9 @@ kill out-of-range terms.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from math import comb
+from typing import NamedTuple
 
 from .polynomials import IntPoly
 
@@ -55,41 +56,7 @@ def trinomial(n: int, k: int) -> int:
     return sum(binom(n, k - i) * binom(k - i, i) for i in range(k // 2 + 1))
 
 
-# -- rank coefficients ---------------------------------------------------------
-
-_ONE_PLUS_X_PLUS_X2 = IntPoly((1, 1, 1))
-
-
-@cache
-def kernel_poly(n: int) -> IntPoly:
-    """Auxiliary kernel g(n): coefficients of z^n in 1/(1-(1+x+x^2)z+x^2 z^2).
-
-    g(n) = sum over i of (-1)^i C(n-i, i) x^(2i) (1+x+x^2)^(n-2i); the rank
-    polynomials of both parities are short alternating sums of these.
-    """
-    if n < 0:
-        return IntPoly.zero()
-    total = IntPoly.zero()
-    for i in range(n // 2 + 1):
-        term = _ONE_PLUS_X_PLUS_X2
-        power = IntPoly.one()
-        for _ in range(n - 2 * i):
-            power = power * term
-        total = total + ((-1) ** i * binom(n - i, i)) * power.shift(2 * i)
-    return total
-
-
-def rank_poly_kernel(n: int) -> IntPoly:
-    """Rank polynomial assembled from the kernel sequence, both parities."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    m, odd = divmod(n, 2)
-    if odd:
-        return (IntPoly((1, 1)) * kernel_poly(m)) - (IntPoly((0, 1, 1)) * kernel_poly(m - 1))
-    poly = kernel_poly(m) - kernel_poly(m - 1) + kernel_poly(m - 2)
-    if m == 1:
-        poly = poly + IntPoly.one()
-    return poly
+# -- closed forms ---------------------------------------------------------------
 
 
 def r_coeff(n: int, k: int) -> int:
@@ -123,9 +90,6 @@ def r_coeff(n: int, k: int) -> int:
     for i in range((m - 2) // 2 + 1):
         total += (-1) ** i * binom(m - i - 2, i) * trinomial(m - 2 * i - 2, k - 2 * i)
     return total
-
-
-# -- other closed forms ---------------------------------------------------------
 
 
 def q_coeff(n: int, k: int) -> int:
@@ -181,137 +145,133 @@ def dm_coeff(n: int, k: int) -> int:
     return binom(n - k - 2, k - 1) + binom(n - k, k)
 
 
-# -- polynomial recurrences -----------------------------------------------------
+# -- recurrences --------------------------------------------------------------------
 
-_RANK_BASES = ((1,), (1, 1), (1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 2, 1))
-_CUBE_BASES = ((1,), (2, 1), (3, 2), (4, 3), (6, 6, 1))
-_MAXCUBE_BASES = ((1,), (0, 1), (0, 2), (0, 3), (0, 2, 1), (0, 0, 4))
-_DEGREE_BASES = ((1,), (0, 2), (0, 2, 1), (0, 2, 2), (0, 1, 4, 1), (0, 0, 5, 4, 1))
-_INDEGREE_BASES = ((1,), (1, 1), (1, 2), (1, 3), (1, 4, 1))
-
+_ONE = IntPoly.one()
 _X = IntPoly((0, 1))
 _X2 = IntPoly((0, 0, 1))
-_ONE_PLUS_X = IntPoly((1, 1))
-_X_MINUS_X2 = IntPoly((0, 1, -1))
 
 
-@cache
-def rank_poly_rec(n: int) -> IntPoly:
-    """Rank polynomial by the parity-split recurrence, bases hard-coded to n = 4."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n < len(_RANK_BASES):
-        return IntPoly(_RANK_BASES[n])
-    if n % 2:
-        return _X * rank_poly_rec(n - 1) + rank_poly_rec(n - 2)
-    return rank_poly_rec(n - 1) + _X2 * rank_poly_rec(n - 2)
+class Recurrence(NamedTuple):
+    """row(n) = c1 row(n-1) + c2 row(n-2) + ... with polynomial coefficients.
+
+    ``steps`` holds the coefficients (c1, c2, ...) once per residue of n
+    modulo the period.  ``bases`` are the hard-coded rows 0, 1, ... of the
+    polynomial route.  ``seeds`` are the indices whose rows the coefficient
+    route takes from the census; it is validated from the next index on.
+    ``stated_from`` is the start the recurrence is stated with, where that
+    start is too low.  Row m of a ``half`` series is the rank row 2m + half.
+    """
+
+    steps: tuple[tuple[IntPoly, ...], ...]
+    bases: tuple[tuple[int, ...], ...] = ()
+    seeds: tuple[int, ...] = ()
+    stated_from: int | None = None
+    half: int | None = None
 
 
-@cache
-def cube_poly_rec(n: int) -> IntPoly:
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n < len(_CUBE_BASES):
-        return IntPoly(_CUBE_BASES[n])
-    return cube_poly_rec(n - 1) + _ONE_PLUS_X * cube_poly_rec(n - 2)
+_HALF_INDEX_STEP = ((IntPoly((1, 1, 1)), -_X2),)
 
-
-@cache
-def maxcube_poly_rec(n: int) -> IntPoly:
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n < len(_MAXCUBE_BASES):
-        return IntPoly(_MAXCUBE_BASES[n])
-    return _X * maxcube_poly_rec(n - 2) + _X * maxcube_poly_rec(n - 3)
-
-
-@cache
-def degree_poly_rec(n: int) -> IntPoly:
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n < len(_DEGREE_BASES):
-        return IntPoly(_DEGREE_BASES[n])
-    return (
-        _X * degree_poly_rec(n - 1)
-        + _X * degree_poly_rec(n - 2)
-        + _X_MINUS_X2 * degree_poly_rec(n - 3)
-    )
-
-
-@cache
-def indegree_poly_rec(n: int) -> IntPoly:
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n < len(_INDEGREE_BASES):
-        return IntPoly(_INDEGREE_BASES[n])
-    return indegree_poly_rec(n - 1) + _X * indegree_poly_rec(n - 2)
-
-
-# -- coefficient-level recurrences ------------------------------------------------
+RECURRENCES = {
+    # even n: r(n-1) + x^2 r(n-2); odd n: x r(n-1) + r(n-2)
+    "rank": Recurrence(
+        steps=((_ONE, _X2), (_X, _ONE)),
+        bases=((1,), (1, 1), (1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 2, 1)),
+    ),
+    "cube": Recurrence(
+        steps=((_ONE, IntPoly((1, 1))),),
+        bases=((1,), (2, 1), (3, 2), (4, 3), (6, 6, 1)),
+        seeds=(3, 4),
+        stated_from=4,
+    ),
+    "maxcube": Recurrence(
+        steps=((IntPoly.zero(), _X, _X),),
+        bases=((1,), (0, 1), (0, 2), (0, 3), (0, 2, 1), (0, 0, 4)),
+        seeds=(3, 4, 5),
+    ),
+    "degree": Recurrence(
+        steps=((_X, _X, IntPoly((0, 1, -1))),),
+        bases=((1,), (0, 2), (0, 2, 1), (0, 2, 2), (0, 1, 4, 1), (0, 0, 5, 4, 1)),
+        seeds=(3, 4, 5),
+        stated_from=4,
+    ),
+    "indegree": Recurrence(
+        steps=((_ONE, _X),),
+        bases=((1,), (1, 1), (1, 2), (1, 3), (1, 4, 1)),
+        seeds=(3, 4),
+        stated_from=3,
+    ),
+    "rank-even": Recurrence(steps=_HALF_INDEX_STEP, seeds=(2, 3), half=0),
+    "rank-odd": Recurrence(steps=_HALF_INDEX_STEP, seeds=(0, 1), half=1),
+}
 
 # Lowest index at which each coefficient recurrence agrees with the census;
-# below it the recurrence is refused (three of them fail on their lowest
-# stated case, see the verification suite's erratum probes).
-VALIDATED_FROM = {
-    "cube": 5,
-    "maxcube": 6,
-    "degree": 6,
-    "indegree": 5,
-    "rank-even": 4,
-    "rank-odd": 2,
-}
-
-_BASE_ROWS = {
-    "cube": {3: 3, 4: 4},
-    "maxcube": {3: 3, 4: 4, 5: 5},
-    "degree": {3: 3, 4: 4, 5: 5},
-    "indegree": {3: 3, 4: 4},
-    "rank-even": {2: 4, 3: 6},  # half-index m -> lattice index n = 2m
-    "rank-odd": {0: 1, 1: 3},
-}
+# below it the recurrence is refused (three of them fail on their stated
+# start, see the verification suite's erratum probes).
+VALIDATED_FROM = {f: rec.seeds[-1] + 1 for f, rec in RECURRENCES.items() if rec.seeds}
 
 
-@cache
-def _census_row(family: str, lattice_n: int) -> IntPoly:
-    """Base rows are seeded from the census of the small lattices."""
-    from . import census
-    from .lattice import filter_lattice
-    from .poset import sfence
-
-    diagram = filter_lattice(sfence(lattice_n))
-    fn = {
-        "cube": census.cube_polynomial,
-        "maxcube": census.maximal_cube_polynomial,
-        "degree": census.degree_polynomial,
-        "indegree": census.indegree_polynomial,
-        "rank-even": census.rank_polynomial,
-        "rank-odd": census.rank_polynomial,
-    }[family]
-    return fn(diagram)
+def recurrence_step(family: str, n: int, row) -> IntPoly:
+    """Row n of ``family``'s recurrence from the earlier rows ``row(i)``."""
+    steps = RECURRENCES[family].steps
+    terms = [
+        row(n - j) if c == _ONE else c * row(n - j)
+        for j, c in enumerate(steps[n % len(steps)], 1)
+        if c
+    ]
+    return sum(terms[1:], terms[0])
 
 
-@cache
-def _recurrence_row(family: str, n: int) -> IntPoly:
-    base = _BASE_ROWS[family]
-    if n in base:
-        return _census_row(family, base[n])
-    row = _recurrence_row
-    if family == "cube":
-        return row(family, n - 1) + _ONE_PLUS_X * row(family, n - 2)
-    if family == "maxcube":
-        return _X * row(family, n - 2) + _X * row(family, n - 3)
-    if family == "degree":
-        return (
-            _X * row(family, n - 2)
-            + _X * row(family, n - 1)
-            - _X2 * row(family, n - 3)
-            + _X * row(family, n - 3)
-        )
-    if family == "indegree":
-        return row(family, n - 1) + _X * row(family, n - 2)
-    if family in ("rank-even", "rank-odd"):
-        return _ONE_PLUS_X_PLUS_X2 * row(family, n - 1) - _X2 * row(family, n - 2)
-    raise ValueError(f"unknown family {family!r}")
+def lattice_row(family: str, n: int) -> tuple[str, int]:
+    """The census family and S-fence size whose polynomial is row n."""
+    half = RECURRENCES[family].half
+    return (family, n) if half is None else ("rank", 2 * n + half)
+
+
+# (family, route) -> index of the first kept row, and the kept rows
+_KEPT: dict[tuple[str, str], tuple[int, list[IntPoly]]] = {}
+
+
+@lru_cache(maxsize=16)
+def _evaluate(family: str, route: str, n: int) -> IntPoly:
+    """Row n of ``family``'s recurrence, stepped up iteratively from the
+    first rows of ``route``: "poly" starts from the hard-coded bases,
+    "coeff" from the census seeds.
+
+    Only the rows the next step reads are kept, so ascending or repeated
+    requests cost at most one step per new row in constant memory; a
+    request below the kept rows starts again from the first rows.  The
+    small cache serves the many requests for one row that reading it a
+    coefficient at a time makes.
+    """
+    start, rows = _KEPT.get((family, route), (n + 1, []))
+    rec = RECURRENCES[family]
+    if n < start:
+        if route == "poly":
+            start, rows = 0, [IntPoly(b) for b in rec.bases]
+        else:
+            from . import tables  # imported here: tables imports this module
+
+            start = rec.seeds[0]
+            rows = [tables.census_poly(*lattice_row(family, i)) for i in rec.seeds]
+    order = max(map(len, rec.steps))
+    while start + len(rows) <= n:
+        rows.append(recurrence_step(family, start + len(rows), lambda i: rows[i - start]))
+        drop = len(rows) - order
+        if drop > 0:
+            del rows[:drop]
+            start += drop
+    _KEPT[(family, route)] = (start, rows)
+    return rows[n - start]
+
+
+def poly_by_recurrence(family: str, n: int) -> IntPoly:
+    """Polynomial of ``family`` at n by its recurrence from the hard-coded bases."""
+    if family not in RECURRENCES or not RECURRENCES[family].bases:
+        raise ValueError(f"no polynomial recurrence for family {family!r}")
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    return _evaluate(family, "poly", n)
 
 
 def coeff_by_recurrence(family: str, n: int, k: int) -> int:
@@ -328,4 +288,4 @@ def coeff_by_recurrence(family: str, n: int, k: int) -> int:
             f"{family} coefficient recurrence is validated for n >= "
             f"{VALIDATED_FROM[family]}, got {n}"
         )
-    return _recurrence_row(family, n).coeff(k)
+    return _evaluate(family, "coeff", n).coeff(k)

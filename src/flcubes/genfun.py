@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formulas import binom
 from .polynomials import IntPoly
 
 
@@ -139,42 +138,3 @@ ALL_SERIES = {
     "indegree": indegree_gf,
 }
 
-
-# -- the degree kernel ----------------------------------------------------------
-
-KERNEL_TABLE_BOUND = 64
-
-
-def degree_kernel_gf() -> RationalSeries:
-    """The fraction 1 / ((1-xy)(1-xy^2) - xy^3) underlying the degree series."""
-    return RationalSeries(
-        numerator=(_p(1),),
-        denominator=(_p(1), _p(0, -1), _p(0, -1), _p(0, -1, 1)),
-    )
-
-
-def degree_kernel_table(count: int) -> list[list[int]]:
-    """Coefficient table of the degree kernel, row n = coefficients in x.
-
-    Computed twice, by series expansion and by the double-binomial sum
-    sum_j C(n-2j, k-j) C(j, n-k-j), and cross-checked entry by entry.
-    """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    if count > KERNEL_TABLE_BOUND:
-        raise ValueError(f"kernel table supports at most {KERNEL_TABLE_BOUND} rows")
-    rows = degree_kernel_gf().expand(count)
-    table = []
-    for n, poly in enumerate(rows):
-        width = max(n + 1, len(poly.coeffs))
-        direct = [
-            sum(binom(n - 2 * j, k - j) * binom(j, n - k - j) for j in range(k + 1))
-            for k in range(width)
-        ]
-        series = [poly.coeff(k) for k in range(width)]
-        if direct != series:
-            raise ValueError(
-                f"kernel routes disagree at row {n}: series {series}, direct {direct}"
-            )
-        table.append(series)
-    return table

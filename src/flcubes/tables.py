@@ -3,47 +3,49 @@
 Four methods cover the five formula-backed families: the census counts
 directly on the lattice, the recurrence and closed forms evaluate the
 derived expressions, and the generating-function route expands a rational
-series.  The outdegree family is census-only.
+series.  The outdegree family is census-only, and the half-index rank
+series have a generating function and a coefficient recurrence only.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import census, formulas, genfun
 from .lattice import LatticeDiagram, filter_lattice
 from .polynomials import IntPoly
 from .poset import sfence
 
-FAMILIES = ("rank", "cube", "maxcube", "degree", "indegree", "outdegree")
+
+class Family(NamedTuple):
+    """The census and closed-form routes of one family, by function name.
+
+    The names are looked up in ``census`` and ``formulas`` at each call, so
+    a wrapper installed on either module is what gets called.
+    """
+
+    census: str | None = None
+    closed: str | None = None
+    closed_min_n: int = 0
+
+
+REGISTRY = {
+    "rank": Family("rank_polynomial", "r_coeff", 2),
+    "cube": Family("cube_polynomial", "q_coeff", 0),
+    "maxcube": Family("maximal_cube_polynomial", "h_coeff", 3),
+    "degree": Family("degree_polynomial", "d_coeff", 3),
+    "indegree": Family("indegree_polynomial", "dm_coeff", 3),
+    "outdegree": Family("outdegree_polynomial"),
+    "rank-even": Family(),
+    "rank-odd": Family(),
+}
+
+FAMILIES = tuple(f for f, fam in REGISTRY.items() if fam.census)
+CLOSED_MIN_N = {f: fam.closed_min_n for f, fam in REGISTRY.items() if fam.closed}
+GF_FAMILIES = tuple(f for f in REGISTRY if f in genfun.ALL_SERIES)
 CENSUS_MAX_N = 18
 FORMULA_MAX_N = 40
-CLOSED_MIN_N = {"rank": 2, "cube": 0, "maxcube": 3, "degree": 3, "indegree": 3}
-
-_CENSUS_FN = {
-    "rank": census.rank_polynomial,
-    "cube": census.cube_polynomial,
-    "maxcube": census.maximal_cube_polynomial,
-    "degree": census.degree_polynomial,
-    "indegree": census.indegree_polynomial,
-    "outdegree": census.outdegree_polynomial,
-}
-
-_RECURRENCE_FN = {
-    "rank": formulas.rank_poly_rec,
-    "cube": formulas.cube_poly_rec,
-    "maxcube": formulas.maxcube_poly_rec,
-    "degree": formulas.degree_poly_rec,
-    "indegree": formulas.indegree_poly_rec,
-}
-
-_CLOSED_COEFF = {
-    "rank": formulas.r_coeff,
-    "cube": formulas.q_coeff,
-    "maxcube": formulas.h_coeff,
-    "degree": formulas.d_coeff,
-    "indegree": formulas.dm_coeff,
-}
 
 
 def _check_family(family: str) -> None:
@@ -53,8 +55,8 @@ def _check_family(family: str) -> None:
 
 def _formula_family(family: str) -> None:
     _check_family(family)
-    if family == "outdegree":
-        raise ValueError("the outdegree family has a census method only")
+    if family not in CLOSED_MIN_N:
+        raise ValueError(f"the {family} family has a census method only")
 
 
 @lru_cache(maxsize=None)
@@ -63,20 +65,23 @@ def phi_diagram(n: int) -> LatticeDiagram:
     return filter_lattice(sfence(n))
 
 
-def census_poly(family: str, n: int) -> IntPoly:
+def _census_fn(family: str):
     _check_family(family)
-    return _CENSUS_FN[family](phi_diagram(n))
+    return getattr(census, REGISTRY[family].census)
+
+
+def census_poly(family: str, n: int) -> IntPoly:
+    return _census_fn(family)(phi_diagram(n))
 
 
 def diagram_poly(family: str, diagram: LatticeDiagram) -> IntPoly:
     """Census polynomial of an arbitrary diagram, not just an S-fence one."""
-    _check_family(family)
-    return _CENSUS_FN[family](diagram)
+    return _census_fn(family)(diagram)
 
 
 def recurrence_poly(family: str, n: int) -> IntPoly:
     _formula_family(family)
-    return _RECURRENCE_FN[family](n)
+    return formulas.poly_by_recurrence(family, n)
 
 
 def closed_poly(family: str, n: int) -> IntPoly:
@@ -84,7 +89,7 @@ def closed_poly(family: str, n: int) -> IntPoly:
     lo = CLOSED_MIN_N[family]
     if n < lo:
         raise ValueError(f"closed form for {family} is defined for n >= {lo}")
-    coeff = _CLOSED_COEFF[family]
+    coeff = getattr(formulas, REGISTRY[family].closed)
     return IntPoly([coeff(n, k) for k in range(n + 1)])
 
 
@@ -94,14 +99,16 @@ def gf_polys(family: str, count: int) -> list[IntPoly]:
     return genfun.ALL_SERIES[family]().expand(count)
 
 
+METHODS = {
+    "census": census_poly,
+    "recurrence": recurrence_poly,
+    "closed": closed_poly,
+    "gf": lambda family, n: gf_polys(family, n + 1)[n],
+}
+
+
 def family_poly(family: str, n: int, method: str) -> IntPoly:
     """One polynomial by any method name: census, recurrence, closed or gf."""
-    if method == "census":
-        return census_poly(family, n)
-    if method == "recurrence":
-        return recurrence_poly(family, n)
-    if method == "closed":
-        return closed_poly(family, n)
-    if method == "gf":
-        return gf_polys(family, n + 1)[n]
-    raise ValueError(f"unknown method {method!r}")
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    return METHODS[method](family, n)

@@ -10,14 +10,18 @@ erratum records, which never fail a run but are always printed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import tables
 from .formulas import (
+    RECURRENCES,
     VALIDATED_FROM,
     binom,
     coeff_by_recurrence,
     fib,
+    lattice_row,
     padovan133,
+    recurrence_step,
 )
 from .census import cube_polynomial, generic_cube_count, rank_polynomial
 from .genfun import ALL_SERIES
@@ -42,7 +46,6 @@ QD_CENSUS_MAX_N = 14
 INTERLEAVE_MAX_M = 20
 
 _X = IntPoly((0, 1))
-_X2 = IntPoly((0, 0, 1))
 _ONE_PLUS_X = IntPoly((1, 1))
 
 
@@ -136,8 +139,7 @@ def run_verification(max_n: int) -> VerificationReport:
 
 
 def _method_agreement(runner: _Runner, census_hi: int, formula_hi: int) -> None:
-    for family in ("rank", "cube", "maxcube", "degree", "indegree"):
-        closed_lo = tables.CLOSED_MIN_N[family]
+    for family, closed_lo in tables.CLOSED_MIN_N.items():
         gf = tables.gf_polys(family, formula_hi + 1) if formula_hi >= 0 else []
         runner.compare_range(
             f"{family}: census vs recurrence",
@@ -174,16 +176,8 @@ def _method_agreement(runner: _Runner, census_hi: int, formula_hi: int) -> None:
         lambda n: tables.census_poly("outdegree", n)(1),
         lambda n: len(tables.phi_diagram(n)),
     )
-    for family, to_poly in (
-        ("cube", lambda n: tables.recurrence_poly("cube", n)),
-        ("maxcube", lambda n: tables.recurrence_poly("maxcube", n)),
-        ("degree", lambda n: tables.recurrence_poly("degree", n)),
-        ("indegree", lambda n: tables.recurrence_poly("indegree", n)),
-        ("rank-even", lambda m: tables.recurrence_poly("rank", 2 * m)),
-        ("rank-odd", lambda m: tables.recurrence_poly("rank", 2 * m + 1)),
-    ):
-        lo = VALIDATED_FROM[family]
-        hi = formula_hi // 2 if family.startswith("rank-") else formula_hi
+    for family, lo in VALIDATED_FROM.items():
+        hi = formula_hi if RECURRENCES[family].half is None else formula_hi // 2
         runner.compare_range(
             f"{family}: coefficient recurrence vs polynomial recurrence",
             lo,
@@ -191,7 +185,7 @@ def _method_agreement(runner: _Runner, census_hi: int, formula_hi: int) -> None:
             lambda n, f=family: IntPoly(
                 [coeff_by_recurrence(f, n, k) for k in range(2 * n + 2)]
             ),
-            to_poly,
+            lambda n, f=family: tables.recurrence_poly(*lattice_row(f, n)),
         )
 
 
@@ -406,47 +400,29 @@ def _generic_cubes(runner: _Runner, hi: int) -> None:
 
 # -- erratum probes -----------------------------------------------------------
 
-# The three coefficient recurrences whose stated starting index fails; each
-# probe recomputes the one-step prediction from census rows, expects the
-# mismatch at the stated index, and confirms the validated range.
-_PROBES = (
-    (
-        "cube",
-        "cube coefficient recurrence q(n,k) = q(n-1,k) + q(n-2,k) + q(n-2,k-1)",
-        (4,),
-        5,
-        lambda rows, n: rows(n - 1) + _ONE_PLUS_X * rows(n - 2),
-    ),
-    (
-        "indegree",
-        "indegree coefficient recurrence d-(n,k) = d-(n-1,k) + d-(n-2,k-1)",
-        (3, 4),
-        5,
-        lambda rows, n: rows(n - 1) + _X * rows(n - 2),
-    ),
-    (
-        "degree",
-        "degree coefficient recurrence "
-        "d(n,k) = d(n-2,k-1) + d(n-1,k-1) - d(n-3,k-2) + d(n-3,k-1)",
-        (4, 5),
-        6,
-        lambda rows, n: _X * rows(n - 2) + _X * rows(n - 1) - _X2 * rows(n - 3) + _X * rows(n - 3),
-    ),
+# The three coefficient recurrences whose stated start fails, in report
+# order, as they are stated.  Each probe applies the recurrence's step to
+# census rows, expects the mismatch at every index from the stated start up
+# to the validated one, and confirms the validated range.
+_ERRATA = (
+    ("cube", "q(n,k) = q(n-1,k) + q(n-2,k) + q(n-2,k-1)"),
+    ("indegree", "d-(n,k) = d-(n-1,k) + d-(n-2,k-1)"),
+    ("degree", "d(n,k) = d(n-2,k-1) + d(n-1,k-1) - d(n-3,k-2) + d(n-3,k-1)"),
 )
 
 
 def _erratum_probes(runner: _Runner, census_hi: int) -> None:
-    for family, name, probe_ns, valid_from, predict in _PROBES:
+    for family, statement in _ERRATA:
+        valid_from = VALIDATED_FROM[family]
+        probe_ns = range(RECURRENCES[family].stated_from, valid_from)
         if census_hi < max(probe_ns):
             continue
 
-        def rows(n, f=family):
-            return tables.census_poly(f, n)
-
+        rows = partial(tables.census_poly, family)
         details = []
         ok = True
         for n in probe_ns:
-            predicted = predict(rows, n)
+            predicted = recurrence_step(family, n, rows)
             actual = rows(n)
             if predicted == actual:
                 ok = False
@@ -454,7 +430,7 @@ def _erratum_probes(runner: _Runner, census_hi: int) -> None:
             else:
                 details.append(f"n={n}: recurrence gives {predicted}, census gives {actual}")
         for n in range(valid_from, census_hi + 1):
-            if predict(rows, n) != rows(n):
+            if recurrence_step(family, n, rows) != rows(n):
                 ok = False
                 details.append(f"recurrence unexpectedly fails at n={n}")
                 break
@@ -462,7 +438,7 @@ def _erratum_probes(runner: _Runner, census_hi: int) -> None:
             details.append(f"holds for n={valid_from}..{census_hi}")
         runner.records.append(
             CheckRecord(
-                name,
+                f"{family} coefficient recurrence {statement}",
                 f"probe n={','.join(map(str, probe_ns))}",
                 "erratum" if ok else "fail",
                 "; ".join(details),

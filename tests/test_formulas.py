@@ -7,31 +7,17 @@ from flcubes.formulas import (
     VALIDATED_FROM,
     binom,
     coeff_by_recurrence,
-    cube_poly_rec,
     d_coeff,
-    degree_poly_rec,
     dm_coeff,
     fib,
     h_coeff,
-    indegree_poly_rec,
-    kernel_poly,
-    maxcube_poly_rec,
     padovan133,
     q_coeff,
     r_coeff,
-    rank_poly_kernel,
-    rank_poly_rec,
     trinomial,
 )
 from flcubes.polynomials import IntPoly
-
-REC_FN = {
-    "rank": rank_poly_rec,
-    "cube": cube_poly_rec,
-    "maxcube": maxcube_poly_rec,
-    "degree": degree_poly_rec,
-    "indegree": indegree_poly_rec,
-}
+from flcubes.tables import recurrence_poly
 
 CLOSED = {
     "rank": (r_coeff, 2),
@@ -158,67 +144,53 @@ def test_indegree_closed_form_fails_only_at_1_and_2():
 # -- polynomial recurrences ------------------------------------------------------
 
 
-@pytest.mark.parametrize("family", sorted(REC_FN))
+@pytest.mark.parametrize("family", sorted(CLOSED))
 def test_recurrences_match_golden_tables(family):
     for n, coeffs in golden_tables.ALL[family].items():
-        assert REC_FN[family](n) == IntPoly(coeffs), (family, n)
+        assert recurrence_poly(family, n) == IntPoly(coeffs), (family, n)
 
 
 def test_recurrence_spot_checks():
-    assert rank_poly_rec(5) == IntPoly([1, 2, 2, 2, 2, 1])
-    assert rank_poly_rec(6) == rank_poly_rec(5) + IntPoly([0, 0, 1]) * rank_poly_rec(4)
-    assert cube_poly_rec(5) == IntPoly([10, 13, 4])
-    assert maxcube_poly_rec(7) == IntPoly([0, 0, 2, 5])
-    assert degree_poly_rec(6) == IntPoly([0, 0, 3, 9, 3, 1])
-    assert indegree_poly_rec(5) == IntPoly([1, 5, 4])
-    assert indegree_poly_rec(7) == IntPoly([1, 7, 13, 5])
+    assert recurrence_poly("rank", 5) == IntPoly([1, 2, 2, 2, 2, 1])
+    assert recurrence_poly("rank", 6) == recurrence_poly("rank", 5) + IntPoly([0, 0, 1]) * recurrence_poly("rank", 4)
+    assert recurrence_poly("cube", 5) == IntPoly([10, 13, 4])
+    assert recurrence_poly("maxcube", 7) == IntPoly([0, 0, 2, 5])
+    assert recurrence_poly("degree", 6) == IntPoly([0, 0, 3, 9, 3, 1])
+    assert recurrence_poly("indegree", 5) == IntPoly([1, 5, 4])
+    assert recurrence_poly("indegree", 7) == IntPoly([1, 7, 13, 5])
     with pytest.raises(ValueError):
-        rank_poly_rec(-1)
+        recurrence_poly("rank", -1)
 
 
 def test_rank_parity_recurrence_cases():
     for n in range(5, 30):
         if n % 2:
-            expect = IntPoly([0, 1]) * rank_poly_rec(n - 1) + rank_poly_rec(n - 2)
+            expect = IntPoly([0, 1]) * recurrence_poly("rank", n - 1) + recurrence_poly("rank", n - 2)
         else:
-            expect = rank_poly_rec(n - 1) + IntPoly([0, 0, 1]) * rank_poly_rec(n - 2)
-        assert rank_poly_rec(n) == expect
+            expect = recurrence_poly("rank", n - 1) + IntPoly([0, 0, 1]) * recurrence_poly("rank", n - 2)
+        assert recurrence_poly("rank", n) == expect
 
 
 def test_closed_forms_track_recurrences_deep():
     for n in range(2, 41):
-        assert IntPoly([r_coeff(n, k) for k in range(n + 1)]) == rank_poly_rec(n)
+        assert IntPoly([r_coeff(n, k) for k in range(n + 1)]) == recurrence_poly("rank", n)
     for n in range(0, 41):
-        assert IntPoly([q_coeff(n, k) for k in range(n + 1)]) == cube_poly_rec(n)
+        assert IntPoly([q_coeff(n, k) for k in range(n + 1)]) == recurrence_poly("cube", n)
     for n in range(3, 41):
-        assert IntPoly([h_coeff(n, k) for k in range(n + 1)]) == maxcube_poly_rec(n)
-        assert IntPoly([d_coeff(n, k) for k in range(n + 1)]) == degree_poly_rec(n)
-        assert IntPoly([dm_coeff(n, k) for k in range(n + 1)]) == indegree_poly_rec(n)
+        assert IntPoly([h_coeff(n, k) for k in range(n + 1)]) == recurrence_poly("maxcube", n)
+        assert IntPoly([d_coeff(n, k) for k in range(n + 1)]) == recurrence_poly("degree", n)
+        assert IntPoly([dm_coeff(n, k) for k in range(n + 1)]) == recurrence_poly("indegree", n)
 
 
 def test_indegree_compose_equals_cube_deep():
     one_plus_x = IntPoly([1, 1])
     for n in range(41):
-        assert indegree_poly_rec(n).compose(one_plus_x) == cube_poly_rec(n)
+        assert recurrence_poly("indegree", n).compose(one_plus_x) == recurrence_poly("cube", n)
 
 
 def test_maxcube_at_one_is_padovan():
     for n in range(3, 41):
-        assert maxcube_poly_rec(n)(1) == padovan133(n - 2)
-
-
-# -- kernel route -----------------------------------------------------------------
-
-
-def test_kernel_poly_small():
-    assert kernel_poly(-1) == IntPoly.zero()
-    assert kernel_poly(0) == IntPoly.one()
-    assert kernel_poly(1) == IntPoly([1, 1, 1])
-
-
-def test_kernel_route_matches_recurrence():
-    for n in range(36):
-        assert rank_poly_kernel(n) == rank_poly_rec(n), n
+        assert recurrence_poly("maxcube", n)(1) == padovan133(n - 2)
 
 
 # -- coefficient recurrences --------------------------------------------------------
@@ -231,17 +203,16 @@ def test_coeff_recurrence_worked_examples():
 
 
 def test_coeff_recurrence_matches_polynomials():
-    for family, fn in (("cube", cube_poly_rec), ("maxcube", maxcube_poly_rec),
-                       ("degree", degree_poly_rec), ("indegree", indegree_poly_rec)):
+    for family in ("cube", "maxcube", "degree", "indegree"):
         for n in range(VALIDATED_FROM[family], 25):
             row = IntPoly([coeff_by_recurrence(family, n, k) for k in range(n + 2)])
-            assert row == fn(n), (family, n)
+            assert row == recurrence_poly(family, n), (family, n)
     for m in range(VALIDATED_FROM["rank-even"], 13):
         row = IntPoly([coeff_by_recurrence("rank-even", m, k) for k in range(2 * m + 1)])
-        assert row == rank_poly_rec(2 * m), m
+        assert row == recurrence_poly("rank", 2 * m), m
     for m in range(VALIDATED_FROM["rank-odd"], 13):
         row = IntPoly([coeff_by_recurrence("rank-odd", m, k) for k in range(2 * m + 2)])
-        assert row == rank_poly_rec(2 * m + 1), m
+        assert row == recurrence_poly("rank", 2 * m + 1), m
 
 
 def test_coeff_recurrence_range_errors():
@@ -262,18 +233,18 @@ def test_coeff_recurrence_range_errors():
 
 def test_cube_recurrence_fails_at_4():
     one_plus_x = IntPoly([1, 1])
-    predicted = cube_poly_rec(3) + one_plus_x * cube_poly_rec(2)
+    predicted = recurrence_poly("cube", 3) + one_plus_x * recurrence_poly("cube", 2)
     assert predicted == IntPoly([7, 8, 2])
-    assert cube_poly_rec(4) == IntPoly([6, 6, 1])
-    assert predicted != cube_poly_rec(4)
+    assert recurrence_poly("cube", 4) == IntPoly([6, 6, 1])
+    assert predicted != recurrence_poly("cube", 4)
 
 
 def test_indegree_recurrence_fails_at_3_and_4():
     x = IntPoly([0, 1])
-    assert indegree_poly_rec(2) + x * indegree_poly_rec(1) == IntPoly([1, 3, 1])
-    assert indegree_poly_rec(3) == IntPoly([1, 3])
-    assert indegree_poly_rec(3) + x * indegree_poly_rec(2) == IntPoly([1, 4, 2])
-    assert indegree_poly_rec(4) == IntPoly([1, 4, 1])
+    assert recurrence_poly("indegree", 2) + x * recurrence_poly("indegree", 1) == IntPoly([1, 3, 1])
+    assert recurrence_poly("indegree", 3) == IntPoly([1, 3])
+    assert recurrence_poly("indegree", 3) + x * recurrence_poly("indegree", 2) == IntPoly([1, 4, 2])
+    assert recurrence_poly("indegree", 4) == IntPoly([1, 4, 1])
 
 
 def test_degree_recurrence_fails_at_4_and_5():
@@ -281,15 +252,30 @@ def test_degree_recurrence_fails_at_4_and_5():
 
     def predict(n):
         return (
-            x * degree_poly_rec(n - 2)
-            + x * degree_poly_rec(n - 1)
-            - x2 * degree_poly_rec(n - 3)
-            + x * degree_poly_rec(n - 3)
+            x * recurrence_poly("degree", n - 2)
+            + x * recurrence_poly("degree", n - 1)
+            - x2 * recurrence_poly("degree", n - 3)
+            + x * recurrence_poly("degree", n - 3)
         )
 
     assert predict(4) == IntPoly([0, 0, 6, 1])
-    assert degree_poly_rec(4) == IntPoly([0, 1, 4, 1])
+    assert recurrence_poly("degree", 4) == IntPoly([0, 1, 4, 1])
     assert predict(5) == IntPoly([0, 0, 5, 5])
-    assert degree_poly_rec(5) == IntPoly([0, 0, 5, 4, 1])
+    assert recurrence_poly("degree", 5) == IntPoly([0, 0, 5, 4, 1])
     for n in range(6, 20):
-        assert predict(n) == degree_poly_rec(n)
+        assert predict(n) == recurrence_poly("degree", n)
+
+
+def test_recurrences_run_iteratively_far_beyond_the_recursion_limit():
+    n = 1500
+    two_fib = 2 * fib(n)
+    polys = {f: recurrence_poly(f, n) for f in sorted(CLOSED)}
+    for family in ("rank", "degree", "indegree"):
+        assert polys[family](1) == two_fib, family
+    assert polys["cube"].coeff(0) == two_fib
+    assert polys["maxcube"](1) == padovan133(n - 2)
+    for family in ("cube", "maxcube", "degree", "indegree"):
+        assert coeff_by_recurrence(family, n, 0) == polys[family].coeff(0), family
+    # one bottom vertex at every lattice index 2n and 2n + 1
+    assert coeff_by_recurrence("rank-even", n, 0) == 1
+    assert coeff_by_recurrence("rank-odd", n, 0) == 1

@@ -3,14 +3,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import golden_tables
-from flcubes.formulas import fib
+from flcubes.formulas import RECURRENCES, fib
 from flcubes.genfun import (
     ALL_SERIES,
     RationalSeries,
     cube_gf,
     degree_gf,
-    degree_kernel_gf,
-    degree_kernel_table,
     indegree_gf,
     maxcube_gf,
     rank_even_gf,
@@ -89,24 +87,24 @@ def test_exactness_through_y40(family):
     assert ALL_SERIES[family]().exactness_failure(41) is None
 
 
-def test_kernel_table_dual_route():
-    table = degree_kernel_table(20)
-    assert table[0][0] == 1
-    assert table[1][1] == 1
-    assert len(table) == 20
-    # rows of the kernel assemble the degree series beyond its correction part
-    kernel = degree_kernel_gf().expand(12)
-    degree = degree_gf().expand(12)
-    x2 = IntPoly([0, 0, 1])
-    for n in range(3, 12):
-        assert kernel[n] + kernel[n - 1] - x2 * kernel[n - 2] == degree[n]
+def _characteristic(step):
+    """1 - c1 y - c2 y^2 - ... for the recurrence row(n) = c1 row(n-1) + c2 row(n-2) + ..."""
+    return (IntPoly.one(),) + tuple(-c for c in step)
 
 
-def test_kernel_table_bounds():
-    with pytest.raises(ValueError):
-        degree_kernel_table(65)
-    with pytest.raises(ValueError):
-        degree_kernel_table(-1)
+@pytest.mark.parametrize(
+    "family", ["cube", "maxcube", "degree", "indegree", "rank-even", "rank-odd"]
+)
+def test_denominator_is_characteristic_polynomial_of_the_recurrence(family):
+    (step,) = RECURRENCES[family].steps
+    assert ALL_SERIES[family]().denominator == _characteristic(step)
+
+
+def test_rank_denominator_is_the_half_index_step_in_y_squared():
+    (step,) = RECURRENCES["rank-even"].steps
+    denominator = rank_gf().denominator
+    assert denominator[0::2] == _characteristic(step)
+    assert not any(denominator[1::2])
 
 
 @given(
