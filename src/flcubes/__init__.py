@@ -11,6 +11,7 @@ from .census import (
     indegree_polynomial,
     maximal_cube_polynomial,
     outdegree_polynomial,
+    poset_census,
     rank_polynomial,
 )
 from .errors import CapacityError

@@ -1,9 +1,13 @@
-"""Definition-level censuses over a Hasse diagram.
+"""Censuses of filter lattices: on a Hasse diagram, and native on a poset.
 
-Everything here is counted directly from the diagram: vertices per rank,
-induced hypercubes as Boolean intervals, maximal cubes by containment,
-and vertices per degree, indegree and outdegree.  No closed form or
-recurrence is consulted, so these results can arbitrate them.
+The diagram censuses are definition-level: everything is counted directly
+from the diagram, vertices per rank, induced hypercubes as Boolean
+intervals, maximal cubes by containment, and vertices per degree, indegree
+and outdegree.  The poset-native census counts the same six families from
+the filters' minimal and addable elements, in one linear pass and without
+building the diagram; the diagram scan is the oracle it is tested against.
+No closed form or recurrence is consulted, so these results can arbitrate
+them.
 """
 
 from __future__ import annotations
@@ -12,11 +16,13 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from typing import Iterable
 
 from .errors import CapacityError
-from .lattice import LatticeDiagram
+from .lattice import LATTICE_VERTEX_BOUND, LatticeDiagram
 from .polynomials import IntPoly
+from .poset import Poset
 
 CENSUS_VERTEX_BOUND = 200_000
 GENERIC_GRAPH_BOUND = 30
@@ -125,7 +131,10 @@ def _scan(diagram: LatticeDiagram) -> _CubeScan:
 
 def _histogram(values: Iterable[int]) -> IntPoly:
     """Coefficient k counts the occurrences of k among ``values``."""
-    counts = Counter(values)
+    return _poly_of(Counter(values))
+
+
+def _poly_of(counts: Counter[int]) -> IntPoly:
     return IntPoly(counts[k] for k in range(max(counts, default=-1) + 1))
 
 
@@ -173,6 +182,70 @@ def indegree_polynomial(diagram: LatticeDiagram) -> IntPoly:
 def outdegree_polynomial(diagram: LatticeDiagram) -> IntPoly:
     """Coefficient k counts vertices covering exactly k elements."""
     return _histogram(map(len, diagram.down_adj))
+
+
+# -- poset-native census ------------------------------------------------------
+
+
+def poset_census(poset: Poset) -> dict[str, IntPoly]:
+    """All six families of the filter lattice of ``poset``, without building it.
+
+    Filter f has rank |P| - |f|; it is covered by f minus one of its minimal
+    elements and covers f plus one addable element (one outside f with
+    everything above it inside f).  The Boolean intervals with bottom f are
+    [f, f minus S] for S a subset of min(f), so f is the bottom of
+    C(#min f, k) cubes of dimension k.  Only S = min(f) can be maximal, and
+    it is unless an addable element a lies below no element of min(f), in
+    which case [f plus a, f minus min(f)] contains it.  One pass over the
+    filter masks with a few table lookups per filter counts everything.
+    """
+    n = len(poset)
+    full = (1 << n) - 1
+    above = _union_table(poset._strict_up)
+    below = _union_table(poset._strict_down)
+    kinds: Counter[tuple[int, int, int, bool]] = Counter()
+    for f in poset.filter_masks(LATTICE_VERTEX_BOUND):
+        rest = full & ~f
+        mins = f & ~_union(above, f)
+        addable = rest & ~_union(below, rest)
+        maximal = not addable & ~_union(below, mins)
+        kinds[n - f.bit_count(), mins.bit_count(), addable.bit_count(), maximal] += 1
+
+    counts: dict[str, Counter[int]] = {
+        family: Counter()
+        for family in ("rank", "cube", "maxcube", "degree", "indegree", "outdegree")
+    }
+    for (rank, ins, outs, maximal), c in kinds.items():
+        counts["rank"][rank] += c
+        counts["indegree"][ins] += c
+        counts["outdegree"][outs] += c
+        counts["degree"][ins + outs] += c
+        for k in range(ins + 1):
+            counts["cube"][k] += c * comb(ins, k)
+        if maximal:
+            counts["maxcube"][ins] += c
+    return {family: _poly_of(counter) for family, counter in counts.items()}
+
+
+def _union_table(masks: tuple[int, ...]) -> list[list[int]]:
+    """Per 8-bit chunk of an element set, the union of ``masks`` over it."""
+    tables = []
+    for lo in range(0, len(masks), 8):
+        part = masks[lo : lo + 8]
+        table = [0] * (1 << len(part))
+        for s in range(1, len(table)):
+            low = s & -s
+            table[s] = table[s ^ low] | part[low.bit_length() - 1]
+        tables.append(table)
+    return tables
+
+
+def _union(tables: list[list[int]], subset: int) -> int:
+    out = 0
+    for table in tables:
+        out |= table[subset & 0xFF]
+        subset >>= 8
+    return out
 
 
 # -- independent oracle -------------------------------------------------------

@@ -14,6 +14,7 @@ import sys
 import click
 
 from . import tables
+from .census import poset_census
 from .errors import CapacityError
 from .lattice import filter_lattice, to_dot
 from .polynomials import IntPoly
@@ -73,7 +74,7 @@ def table(family: str, from_n: int, to_n: int, method: str, fmt: str, poset_file
             raise click.UsageError("--poset-file supports the census method only")
         poset = _load_poset(poset_file)
         try:
-            poly = tables.diagram_poly(family, filter_lattice(poset))
+            poly = poset_census(poset)[family]
         except CapacityError as exc:
             click.echo(f"capacity error: {exc}", err=True)
             sys.exit(3)

@@ -166,8 +166,7 @@ def filter_lattice(poset: Poset, max_vertices: int = LATTICE_VERTEX_BOUND) -> La
     full ground set is the minimum and the empty filter the maximum; u covers
     v exactly when v's filter is u's filter plus one element.
     """
-    poset.count_filters(limit=max_vertices)
-    fs = poset.filters()
+    fs = poset.filters(limit=max_vertices)
     index = {f.mask: i for i, f in enumerate(fs)}
     n = len(poset)
     strict_down = poset._strict_down

@@ -230,32 +230,38 @@ class Poset:
             m ^= low
         return True
 
-    def filters(self) -> list[FilterSet]:
+    def filters(self, limit: int | None = None) -> list[FilterSet]:
         """Every upward closed subset, exactly once, in canonical order.
 
-        Enumeration recurses on a maximal element: a filter either contains
-        it (recurse on the rest) or avoids its whole down-set.  The canonical
-        order is by cardinality, then ascending bitmask.
+        The canonical order is by cardinality, then ascending bitmask.  With
+        a limit, more than ``limit`` filters raise :class:`CapacityError`.
+        """
+        masks = self.filter_masks(limit)
+        masks.sort(key=lambda m: (m.bit_count(), m))
+        return [FilterSet(m, self.elements) for m in masks]
+
+    def filter_masks(self, limit: int | None = None) -> list[int]:
+        """The bitmask of every filter, exactly once, in no fixed order.
+
+        Elements are decided from the top down: each element is added to
+        every filter found so far that already holds all elements above it.
+        The list only grows, so a count past ``limit`` stops the enumeration
+        with :class:`CapacityError` after at most twice that many masks.
         """
         if len(self.elements) > FILTER_ENUM_BOUND:
             raise CapacityError(
                 f"filter enumeration supports at most {FILTER_ENUM_BOUND} elements, "
                 f"got {len(self.elements)}"
             )
-        full = (1 << len(self.elements)) - 1
-        masks = self._filter_masks(full)
-        masks.sort(key=lambda m: (m.bit_count(), m))
-        return [FilterSet(m, self.elements) for m in masks]
-
-    def _filter_masks(self, avail: int) -> list[int]:
-        if not avail:
-            return [0]
-        x = self._pick_maximal(avail)
-        bit = 1 << x
-        with_x = [m | bit for m in self._filter_masks(avail & ~bit)]
-        downc = self._strict_down[x] | bit
-        without_x = self._filter_masks(avail & ~downc)
-        return with_x + without_x
+        up = self._strict_up
+        masks = [0]
+        # an element has fewer elements strictly above it than anything below it
+        for e in sorted(range(len(self.elements)), key=lambda e: up[e].bit_count()):
+            above, bit = up[e], 1 << e
+            masks += [m | bit for m in masks if not above & ~m]
+            if limit is not None and len(masks) > limit:
+                raise CapacityError(f"filter count exceeds {limit}")
+        return masks
 
     def _pick_maximal(self, avail: int) -> int:
         m = avail

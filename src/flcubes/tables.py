@@ -1,9 +1,10 @@
 """Uniform access to each polynomial family by computation method.
 
 Four methods cover the five formula-backed families: the census counts
-directly on the lattice, the recurrence and closed forms evaluate the
-derived expressions, and the generating-function route expands a rational
-series.  The outdegree family is census-only, and the half-index rank
+on the filter lattice (natively on the S-fence poset, or by the
+definition-level scan on any diagram), the recurrence and closed forms
+evaluate the derived expressions, and the generating-function route
+expands a rational series.  The outdegree family is census-only, and the half-index rank
 series have a generating function and a coefficient recurrence only.
 """
 
@@ -19,7 +20,7 @@ from .poset import sfence
 
 
 class Family(NamedTuple):
-    """The census and closed-form routes of one family, by function name.
+    """The diagram census and closed-form routes of one family, by function name.
 
     The names are looked up in ``census`` and ``formulas`` at each call, so
     a wrapper installed on either module is what gets called.
@@ -65,18 +66,21 @@ def phi_diagram(n: int) -> LatticeDiagram:
     return filter_lattice(sfence(n))
 
 
-def _census_fn(family: str):
-    _check_family(family)
-    return getattr(census, REGISTRY[family].census)
+@lru_cache(maxsize=None)
+def _sfence_census(n: int) -> dict[str, IntPoly]:
+    return census.poset_census(sfence(n))
 
 
 def census_poly(family: str, n: int) -> IntPoly:
-    return _census_fn(family)(phi_diagram(n))
+    """Census polynomial of the n-th S-fence, counted natively on the poset."""
+    _check_family(family)
+    return _sfence_census(n)[family]
 
 
 def diagram_poly(family: str, diagram: LatticeDiagram) -> IntPoly:
-    """Census polynomial of an arbitrary diagram, not just an S-fence one."""
-    return _census_fn(family)(diagram)
+    """Census polynomial of an arbitrary diagram, by the definition-level scan."""
+    _check_family(family)
+    return getattr(census, REGISTRY[family].census)(diagram)
 
 
 def recurrence_poly(family: str, n: int) -> IntPoly:

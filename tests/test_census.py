@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
 
 import golden_tables
+from conftest import posets
+from flcubes import census, tables
 from flcubes.census import (
     CubeInterval,
     cube_polynomial,
@@ -10,6 +13,7 @@ from flcubes.census import (
     indegree_polynomial,
     maximal_cube_polynomial,
     outdegree_polynomial,
+    poset_census,
     rank_polynomial,
 )
 from flcubes.errors import CapacityError
@@ -22,7 +26,8 @@ from flcubes.lattice import (
     underlying_graph,
 )
 from flcubes.polynomials import IntPoly
-from flcubes.poset import Poset, sfence
+from flcubes.poset import Poset, fence, sfence
+from flcubes.verify import run_verification
 
 CENSUS_FN = {
     "rank": rank_polynomial,
@@ -185,3 +190,45 @@ def test_census_works_on_diamond():
     diamond = filter_lattice(Poset((1, 2), frozenset()))
     assert cube_polynomial(diamond) == IntPoly([4, 4, 1])
     assert maximal_cube_polynomial(diamond) == IntPoly([0, 0, 1])
+
+
+# -- poset-native census against the diagram scan --------------------------------
+
+
+def assert_native_matches_diagram(poset):
+    native = poset_census(poset)
+    diagram = filter_lattice(poset)
+    assert set(native) == set(tables.FAMILIES)
+    for family in tables.FAMILIES:
+        assert native[family] == tables.diagram_poly(family, diagram), family
+
+
+@pytest.mark.parametrize("build", [sfence, fence, lambda n: fence(n).dual()],
+                         ids=["sfence", "fence", "dual-fence"])
+def test_native_census_matches_diagram_census(build):
+    for n in range(13):
+        assert_native_matches_diagram(build(n))
+
+
+@given(posets(max_size=7))
+@settings(max_examples=80, deadline=None)
+def test_native_census_matches_diagram_census_on_random_posets(p):
+    assert_native_matches_diagram(p)
+
+
+def test_sfence_census_refuses_past_the_lattice_bound():
+    # 2 * fib(26) = 242 786 filters, more than the 200 000-vertex bound
+    with pytest.raises(CapacityError, match="filter count exceeds 200000"):
+        tables.census_poly("cube", 26)
+
+
+def test_verify_takes_the_identity_cube_side_from_the_diagram_scan(monkeypatch):
+    real = census.cube_polynomial
+    monkeypatch.setattr(census, "cube_polynomial", lambda d: real(d) + IntPoly([1]))
+    report = run_verification(14)
+    record = next(
+        r for r in report.records
+        if r.name == "indegree(1+x) equals cube polynomial (census route)"
+    )
+    assert record.status == "fail"
+    assert record.detail.startswith("n=0:")

@@ -1,4 +1,5 @@
 import json
+from math import comb
 
 import pytest
 from click.testing import CliRunner
@@ -88,6 +89,24 @@ def test_table_poset_file(runner, tmp_path):
     trash = tmp_path / "trash.poset"
     trash.write_text("2\n1 5\n")
     assert run(runner, "table", "rank", "0", "0", "census", "csv", "--poset-file", str(trash)).exit_code == 2
+
+
+def test_table_poset_file_capacity_and_native_census(runner, tmp_path):
+    wide = tmp_path / "antichain18.poset"
+    wide.write_text("18\n")
+    result = run(runner, "table", "cube", "0", "0", "census", "json", "--poset-file", str(wide))
+    assert result.exit_code == 3
+    assert "capacity error: filter count exceeds 200000" in result.output
+    # 2^17 filters are within the bound and are counted without a diagram
+    path = tmp_path / "antichain17.poset"
+    path.write_text("17\n")
+    cube = run(runner, "table", "cube", "0", "0", "census", "json", "--poset-file", str(path))
+    assert cube.exit_code == 0
+    expected = [comb(17, k) * 2 ** (17 - k) for k in range(18)]  # (2 + x)^17
+    assert json.loads(cube.output) == [{"n": 17, "coeffs": expected}]
+    maxcube = run(runner, "table", "maxcube", "0", "0", "census", "json", "--poset-file", str(path))
+    assert maxcube.exit_code == 0
+    assert json.loads(maxcube.output) == [{"n": 17, "coeffs": [0] * 17 + [1]}]
 
 
 # -- verify ---------------------------------------------------------------------

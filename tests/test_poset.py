@@ -177,6 +177,9 @@ def test_capacity_bounds():
         big.filters()
     with pytest.raises(CapacityError):
         fence(20).count_filters(limit=10)
+    with pytest.raises(CapacityError, match="filter count exceeds 10"):
+        fence(20).filters(limit=10)
+    assert len(fence(20).filters(limit=fib(22))) == fib(22)  # the bound itself is allowed
 
 
 @given(posets())
