@@ -263,34 +263,9 @@ class Poset:
                 raise CapacityError(f"filter count exceeds {limit}")
         return masks
 
-    def _pick_maximal(self, avail: int) -> int:
-        m = avail
-        while m:
-            low = m & -m
-            x = low.bit_length() - 1
-            if not (self._strict_up[x] & avail):
-                return x
-            m ^= low
-        raise AssertionError("non-empty subset without a maximal element")
-
     def count_filters(self, limit: int | None = None) -> int:
-        """Number of filters, optionally aborting once the count exceeds limit."""
-        full = (1 << len(self.elements)) - 1
-
-        def count(avail: int) -> int:
-            if not avail:
-                return 1
-            x = self._pick_maximal(avail)
-            bit = 1 << x
-            total = count(avail & ~bit)
-            if limit is not None and total > limit:
-                raise CapacityError(f"filter count exceeds {limit}")
-            total += count(avail & ~(self._strict_down[x] | bit))
-            if limit is not None and total > limit:
-                raise CapacityError(f"filter count exceeds {limit}")
-            return total
-
-        return count(full)
+        """Number of filters, by :meth:`filter_masks` with the same bound and limit."""
+        return len(self.filter_masks(limit))
 
 
 # -- standard posets -------------------------------------------------------

@@ -174,7 +174,7 @@ def _method_agreement(runner: _Runner, census_hi: int, formula_hi: int) -> None:
         0,
         census_hi,
         lambda n: tables.census_poly("outdegree", n)(1),
-        lambda n: len(tables.phi_diagram(n)),
+        lambda n: sfence(n).count_filters(),
     )
     for family, lo in VALIDATED_FROM.items():
         hi = formula_hi if RECURRENCES[family].half is None else formula_hi // 2

@@ -175,11 +175,28 @@ def test_capacity_bounds():
     big = Poset(tuple(range(1, 40)), frozenset())
     with pytest.raises(CapacityError):
         big.filters()
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="filter count exceeds 10"):
         fence(20).count_filters(limit=10)
     with pytest.raises(CapacityError, match="filter count exceeds 10"):
         fence(20).filters(limit=10)
     assert len(fence(20).filters(limit=fib(22))) == fib(22)  # the bound itself is allowed
+
+
+def chain(n):
+    return Poset(tuple(range(1, n + 1)), frozenset((i + 1, i) for i in range(1, n)))
+
+
+def test_count_filters_shares_the_enumeration_bound():
+    with pytest.raises(CapacityError, match="at most 32 elements, got 40"):
+        chain(40).filters()
+    with pytest.raises(CapacityError, match="at most 32 elements, got 40"):
+        chain(40).count_filters()
+    assert chain(32).count_filters() == 33
+
+
+def test_count_filters_refuses_a_long_chain_without_recursing():
+    with pytest.raises(CapacityError, match="at most 32 elements, got 1500"):
+        chain(1500).count_filters()
 
 
 @given(posets())

@@ -1,5 +1,6 @@
 import pytest
 
+from flcubes import tables, verify
 from flcubes.verify import CheckRecord, VerificationReport, run_verification
 
 
@@ -60,3 +61,16 @@ def test_probe_records_carry_polynomials():
     )
     assert "recurrence gives" in cube_probe.detail
     assert "census gives" in cube_probe.detail
+
+
+def test_verify_builds_no_diagram_past_the_census_identity_range(monkeypatch):
+    real = tables.phi_diagram
+    built = []
+
+    def recorder(n):
+        built.append(n)
+        return real(n)
+
+    monkeypatch.setattr(tables, "phi_diagram", recorder)
+    assert run_verification(18).exit_code == 0
+    assert built and max(built) <= verify.QD_CENSUS_MAX_N
