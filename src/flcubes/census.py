@@ -2,8 +2,12 @@
 
 The diagram censuses are definition-level: everything is counted directly
 from the diagram, vertices per rank, induced hypercubes as Boolean
-intervals, maximal cubes by containment, and vertices per degree, indegree
-and outdegree.  The poset-native census counts the same six families from
+intervals, and vertices per degree, indegree and outdegree.  One cached scan
+lists the Boolean intervals; a cube is maximal when no cube one dimension up
+in that list extends it by a cover of its top or below its bottom, which
+needs no join and no order test.  The scan refuses diagrams whose masks
+(about 2·V² bits) or joins (one per subset of each vertex's covers) exceed
+its bounds.  The poset-native census counts the same six families from
 the filters' minimal and addable elements, in one linear pass and without
 building the diagram; the diagram scan is the oracle it is tested against.
 No closed form or recurrence is consulted, so these results can arbitrate
@@ -24,7 +28,8 @@ from .lattice import LATTICE_VERTEX_BOUND, LatticeDiagram
 from .polynomials import IntPoly
 from .poset import Poset
 
-CENSUS_VERTEX_BOUND = 200_000
+CENSUS_VERTEX_BOUND = 20_000
+CENSUS_JOIN_BOUND = 1_000_000
 GENERIC_GRAPH_BOUND = 30
 GENERIC_DIM_BOUND = 3
 
@@ -38,92 +43,55 @@ class CubeInterval:
     dim: int
 
 
-class _CubeScan:
-    """Shared state for cube enumeration over one diagram.
+@lru_cache(maxsize=64)
+def _scan(diagram: LatticeDiagram) -> dict[tuple[int, int], int]:
+    """Every Boolean interval of the diagram, as (bottom, top) -> dimension.
 
     Vertices are re-indexed by ascending rank so that the least element of
-    any up-set intersection is its lowest set bit; joins then cost one mask
-    AND plus a least-upper-bound verification.
+    any up-set intersection is its lowest set bit; a join then costs one
+    mask AND plus a least-upper-bound check.  Both bounds are checked before
+    any mask is built.
     """
+    n = len(diagram)
+    if n > CENSUS_VERTEX_BOUND:
+        raise CapacityError(f"cube census supports at most {CENSUS_VERTEX_BOUND} vertices")
+    ranks, up_adj, down_adj = diagram.ranks, diagram.up_adj, diagram.down_adj
+    if sum(1 << len(ups) for ups in up_adj) > CENSUS_JOIN_BOUND:
+        raise CapacityError(f"cube census supports at most {CENSUS_JOIN_BOUND} joins")
+    order = sorted(range(n), key=lambda v: (ranks[v], v))
+    pos = {v: i for i, v in enumerate(order)}
+    upm = [0] * n  # indexed by vertex, bits in pos space
+    for v in reversed(order):
+        m = 1 << pos[v]
+        for u in up_adj[v]:
+            m |= upm[u]
+        upm[v] = m
+    dnm = [0] * n
+    for v in order:
+        m = 1 << pos[v]
+        for w in down_adj[v]:
+            m |= dnm[w]
+        dnm[v] = m
 
-    def __init__(self, diagram: LatticeDiagram):
-        if len(diagram) > CENSUS_VERTEX_BOUND:
-            raise CapacityError(
-                f"cube census supports at most {CENSUS_VERTEX_BOUND} vertices"
-            )
-        self.diagram = diagram
-        n = len(diagram)
-        self.order = sorted(range(n), key=lambda v: (diagram.ranks[v], v))
-        pos = {v: i for i, v in enumerate(self.order)}
-        self.pos = pos
-        self.upm = [0] * n  # indexed by vertex, bits in pos space
-        for v in sorted(range(n), key=lambda v: -diagram.ranks[v]):
-            m = 1 << pos[v]
-            for u in diagram.up_adj[v]:
-                m |= self.upm[u]
-            self.upm[v] = m
-        self.dnm = [0] * n
-        for v in sorted(range(n), key=lambda v: diagram.ranks[v]):
-            m = 1 << pos[v]
-            for w in diagram.down_adj[v]:
-                m |= self.dnm[w]
-            self.dnm[v] = m
-        self.cubes = self._enumerate()
-
-    def join(self, u: int, v: int) -> int:
-        common = self.upm[u] & self.upm[v]
-        low = common & -common
-        j = self.order[low.bit_length() - 1]
-        if common & ~self.upm[j]:
-            raise ValueError("join is not unique; diagram is not a lattice")
-        return j
-
-    def _enumerate(self) -> dict[tuple[int, int], int]:
-        diagram = self.diagram
-        ranks = diagram.ranks
-        cubes: dict[tuple[int, int], int] = {}
-        for a in range(len(diagram)):
-            cubes[(a, a)] = 0
-            ups = diagram.up_adj[a]
-            joins = {0: a}
-            for smask in range(1, 1 << len(ups)):
-                low = smask & -smask
-                s = ups[low.bit_length() - 1]
-                j = self.join(joins[smask ^ low], s)
-                joins[smask] = j
-                k = smask.bit_count()
-                if ranks[j] - ranks[a] != k:
-                    continue
-                interval = self.upm[a] & self.dnm[j]
-                if interval.bit_count() != 1 << k:
-                    continue
-                key = (a, j)
-                if key in cubes:
-                    raise ValueError("two cover subsets span one Boolean interval")
-                cubes[key] = k
-        return cubes
-
-    def is_contained(self, bottom: int, top: int, dim: int) -> bool:
-        """True iff a strictly larger enumerated cube contains this one.
-
-        A containing cube one dimension up either keeps the bottom and joins
-        in one more cover of it, or keeps the top over a vertex the bottom
-        covers; any bigger container implies one of those.
-        """
-        diagram = self.diagram
-        for s in diagram.up_adj[bottom]:
-            if not diagram.leq(s, top):
-                if self.cubes.get((bottom, self.join(top, s))) == dim + 1:
-                    return True
-        for b in diagram.down_adj[bottom]:
-            if self.cubes.get((b, top)) == dim + 1:
-                return True
-        return False
-
-
-@lru_cache(maxsize=64)
-def _scan(diagram: LatticeDiagram) -> _CubeScan:
-    return _CubeScan(diagram)
+    cubes: dict[tuple[int, int], int] = {}
+    for a in range(n):
+        cubes[(a, a)] = 0
+        ups = up_adj[a]
+        joins = [a] * (1 << len(ups))  # join of each subset of the covers of a
+        for smask in range(1, len(joins)):
+            low = smask & -smask
+            common = upm[joins[smask ^ low]] & upm[ups[low.bit_length() - 1]]
+            j = order[(common & -common).bit_length() - 1]
+            if common & ~upm[j]:
+                raise ValueError("join is not unique; diagram is not a lattice")
+            joins[smask] = j
+            k = smask.bit_count()
+            if ranks[j] - ranks[a] != k or (upm[a] & dnm[j]).bit_count() != 1 << k:
+                continue
+            if (a, j) in cubes:
+                raise ValueError("two cover subsets span one Boolean interval")
+            cubes[(a, j)] = k
+    return cubes
 
 
 # -- polynomial censuses ----------------------------------------------------
@@ -151,22 +119,34 @@ def enumerate_cubes(diagram: LatticeDiagram) -> list[CubeInterval]:
     its atom set are recoverable from the interval, so each induced cube is
     produced once.
     """
-    scan = _scan(diagram)
     return sorted(
-        (CubeInterval(a, j, k) for (a, j), k in scan.cubes.items()),
+        (CubeInterval(a, j, k) for (a, j), k in _scan(diagram).items()),
         key=lambda c: (c.dim, c.bottom, c.top),
     )
 
 
 def cube_polynomial(diagram: LatticeDiagram) -> IntPoly:
     """Coefficient k counts the induced k-dimensional hypercubes."""
-    return _histogram(_scan(diagram).cubes.values())
+    return _histogram(_scan(diagram).values())
 
 
 def maximal_cube_polynomial(diagram: LatticeDiagram) -> IntPoly:
-    """Coefficient k counts cubes contained in no other cube's vertex set."""
-    scan = _scan(diagram)
-    return _histogram(k for (a, j), k in scan.cubes.items() if not scan.is_contained(a, j, k))
+    """Coefficient k counts cubes contained in no other cube's vertex set.
+
+    A cube inside a larger one is a face of it, since both are intervals,
+    and a face lies in a facet one dimension up that keeps its bottom or
+    its top.  So [a, j] is maximal iff neither [a, u] for a cover u of j
+    nor [b, j] for a vertex b covered by a is a cube; in a graded diagram
+    either would have dimension one more.
+    """
+    cubes = _scan(diagram)
+    up_adj, down_adj = diagram.up_adj, diagram.down_adj
+    return _histogram(
+        k
+        for (a, j), k in cubes.items()
+        if not any((a, u) in cubes for u in up_adj[j])
+        and not any((b, j) in cubes for b in down_adj[a])
+    )
 
 
 def degree_polynomial(diagram: LatticeDiagram) -> IntPoly:

@@ -31,6 +31,9 @@ def _load_poset(path: str) -> Poset:
             return poset_from_text(fh.read())
     except (OSError, ValueError) as exc:
         raise click.UsageError(f"cannot read poset file {path}: {exc}")
+    except CapacityError as exc:
+        click.echo(f"capacity error: {exc}", err=True)
+        sys.exit(3)
 
 
 def _coeff_list(poly: IntPoly) -> list[int]:

@@ -308,7 +308,12 @@ def sfence(n: int) -> Poset:
 
 
 def poset_from_text(text: str) -> Poset:
-    """Parse the poset text format: first line n, then lines "a b" for a > b."""
+    """Parse the poset text format: first line n, then lines "a b" for a > b.
+
+    Malformed text raises ValueError.  Text that parses but declares more
+    than ``FILTER_ENUM_BOUND`` elements raises CapacityError before any
+    element is built, since nothing downstream can enumerate its filters.
+    """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     if not lines:
@@ -328,6 +333,10 @@ def poset_from_text(text: str) -> Poset:
         if not (1 <= a <= n and 1 <= b <= n):
             raise ValueError(f"cover line {ln!r} out of range 1..{n}")
         covers.append((a, b))
+    if n > FILTER_ENUM_BOUND:  # refused before n elements are built
+        raise CapacityError(
+            f"filter enumeration supports at most {FILTER_ENUM_BOUND} elements, got {n}"
+        )
     return Poset(tuple(range(1, n + 1)), frozenset(covers))
 
 

@@ -81,10 +81,20 @@ def test_cubes_unique():
     assert len({(c.bottom, c.top) for c in cubes}) == len(cubes)
 
 
+def lattice_from_covers(ranks, covers):
+    """A diagram on vertices 0..len(ranks)-1 from (upper, lower) cover pairs."""
+    return LatticeDiagram(tuple(range(len(ranks))), frozenset(covers), tuple(ranks))
+
+
+# M3: a bottom, three atoms and a top; a lattice, but not distributive
+M3 = lattice_from_covers((0, 1, 1, 1, 2), [(1, 0), (2, 0), (3, 0), (4, 1), (4, 2), (4, 3)])
+
+
 def test_maximal_cube_vertex_sets_by_exhaustive_containment():
-    # definitional cross-check of the containment shortcut
-    for n in range(8):
-        d = phi(n)
+    # definitional cross-check of the facet test; the expansion lists its
+    # vertices in ascending rank, the filter lattices in descending rank
+    expansion = convex_expansion(*deletion_cutting(sfence(7), 7))
+    for d in [phi(n) for n in range(8)] + [M3, expansion]:
         cubes = enumerate_cubes(d)
         sets = {
             (c.bottom, c.top): frozenset(
@@ -97,7 +107,52 @@ def test_maximal_cube_vertex_sets_by_exhaustive_containment():
             mine = sets[(c.bottom, c.top)]
             if not any(mine < other for other in sets.values()):
                 maximal_count[c.dim] += 1
-        assert maximal_cube_polynomial(d) == IntPoly(maximal_count), n
+        assert maximal_cube_polynomial(d) == IntPoly(maximal_count), len(d)
+    assert maximal_cube_polynomial(expansion) == IntPoly([0, 0, 2, 5])
+
+
+def test_census_on_a_non_distributive_lattice():
+    assert cube_polynomial(M3) == IntPoly([5, 6])
+    assert maximal_cube_polynomial(M3) == IntPoly([0, 6])
+
+
+def test_scan_refuses_a_graded_non_lattice():
+    # bowtie: both atoms lie below both coatoms, so the atoms have no join
+    bowtie = lattice_from_covers(
+        (0, 1, 1, 2, 2, 3),
+        [(1, 0), (2, 0), (3, 1), (3, 2), (4, 1), (4, 2), (5, 3), (5, 4)],
+    )
+    with pytest.raises(ValueError, match="join is not unique"):
+        cube_polynomial(bowtie)
+
+
+def test_scan_refuses_two_cover_subsets_spanning_one_interval():
+    # a < s1, s2 < x < j and a < s3, s4 < y < j: {s1, s2, s3} and
+    # {s1, s2, s4} both join to j, and [a, j] has 2^3 elements
+    a, s1, s2, s3, s4, x, y, j = range(8)
+    lattice = lattice_from_covers(
+        (0, 1, 1, 1, 1, 2, 2, 3),
+        [(s1, a), (s2, a), (s3, a), (s4, a), (x, s1), (x, s2), (y, s3), (y, s4),
+         (j, x), (j, y)],
+    )
+    with pytest.raises(ValueError, match="two cover subsets span one Boolean interval"):
+        cube_polynomial(lattice)
+
+
+def test_scan_vertex_bound():
+    # a 20 001-vertex chain: 40 001 joins, but too many vertices for the masks
+    n = census.CENSUS_VERTEX_BOUND + 1
+    chain = lattice_from_covers(range(n), [(i + 1, i) for i in range(n - 1)])
+    with pytest.raises(CapacityError, match="at most 20000 vertices"):
+        cube_polynomial(chain)
+
+
+def test_scan_join_bound():
+    # the 14-element antichain: 2^14 = 16 384 filters but 3^14 = 4 782 969 joins
+    lattice = filter_lattice(Poset(tuple(range(1, 15)), frozenset()))
+    assert len(lattice) <= census.CENSUS_VERTEX_BOUND
+    with pytest.raises(CapacityError, match="at most 1000000 joins"):
+        maximal_cube_polynomial(lattice)
 
 
 def test_degree_handshake():

@@ -1,5 +1,6 @@
 import json
 from math import comb
+from time import perf_counter
 
 import pytest
 from click.testing import CliRunner
@@ -107,6 +108,30 @@ def test_table_poset_file_capacity_and_native_census(runner, tmp_path):
     maxcube = run(runner, "table", "maxcube", "0", "0", "census", "json", "--poset-file", str(path))
     assert maxcube.exit_code == 0
     assert json.loads(maxcube.output) == [{"n": 17, "coeffs": [0] * 17 + [1]}]
+
+
+@pytest.mark.parametrize("command", [("table", "cube", "0", "0", "census", "json"), ("dot",)],
+                         ids=["table", "dot"])
+def test_poset_file_header_past_the_enumeration_bound(runner, tmp_path, command):
+    huge = tmp_path / "huge.poset"
+    huge.write_text("1000000000\n")
+    t0 = perf_counter()
+    result = run(runner, *command, "--poset-file", str(huge))
+    assert perf_counter() - t0 < 1
+    assert result.exit_code == 3
+    assert result.output == (
+        "capacity error: filter enumeration supports at most 32 elements, got 1000000000\n"
+    )
+    # the same words as when the filter enumeration refuses a 40-element poset
+    wide = tmp_path / "antichain40.poset"
+    wide.write_text("40\n")
+    result = run(runner, *command, "--poset-file", str(wide))
+    assert (result.exit_code, result.output) == (
+        3, "capacity error: filter enumeration supports at most 32 elements, got 40\n"
+    )
+    # malformed text is still a usage error, whatever the count
+    wide.write_text("40\n1 2 3\n")
+    assert run(runner, *command, "--poset-file", str(wide)).exit_code == 2
 
 
 # -- verify ---------------------------------------------------------------------

@@ -249,6 +249,14 @@ def test_text_round_trip():
     assert poset_from_text(poset_to_text(p)) == p
 
 
+def test_text_refuses_a_count_past_the_enumeration_bound():
+    with pytest.raises(CapacityError, match="at most 32 elements, got 1000000000"):
+        poset_from_text("1000000000\n")
+    with pytest.raises(ValueError, match="out of range"):
+        poset_from_text("40\n1 41\n")
+    assert len(poset_from_text("32\n")) == 32
+
+
 def test_text_parsing_errors():
     with pytest.raises(ValueError):
         poset_from_text("")
