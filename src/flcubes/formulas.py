@@ -47,6 +47,7 @@ def padovan133(n: int) -> int:
     return c
 
 
+@cache
 def trinomial(n: int, k: int) -> int:
     """Coefficient of x^k in (1 + x + x^2)^n; zero for k < 0 or k > 2n."""
     if n < 0:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import add, mul, neg, sub
 from typing import Iterable
 
 
@@ -65,7 +67,14 @@ class IntPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        # A constant hashes as the int it equals, so eq and hash agree.
+        cs = self.coeffs
+        if len(cs) > 1:
+            return hash(cs)
+        return hash(cs[0] if cs else 0)
+
+    # The coefficient loops below run in C: ``map`` over operator functions
+    # adds or scales a whole row of Python ints in one pass.
 
     def __add__(self, other) -> "IntPoly":
         other = self._coerce(other)
@@ -74,27 +83,25 @@ class IntPoly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
+        return IntPoly((*map(add, a, b), *a[len(b):]))
 
     __radd__ = __add__
 
     def __neg__(self) -> "IntPoly":
-        return IntPoly(-c for c in self.coeffs)
+        return IntPoly(map(neg, self.coeffs))
 
     def __sub__(self, other) -> "IntPoly":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        return IntPoly((*map(sub, a, b), *a[len(b):], *map(neg, b[len(a):])))
 
     def __rsub__(self, other) -> "IntPoly":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other) -> "IntPoly":
         other = self._coerce(other)
@@ -103,11 +110,17 @@ class IntPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPoly(())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
+        if len(a) > len(b):
+            a, b = b, a
+        m = len(b)
+        out = [0] * (len(a) + m - 1)
+        for i, c in enumerate(a):
+            if c == 1:
+                out[i:i + m] = map(add, out[i:i + m], b)
+            elif c == -1:
+                out[i:i + m] = map(sub, out[i:i + m], b)
+            elif c:
+                out[i:i + m] = map(add, out[i:i + m], map(mul, repeat(c), b))
         return IntPoly(out)
 
     __rmul__ = __mul__

@@ -62,13 +62,13 @@ def test_trinomial_values():
 
 
 def test_trinomial_is_the_power_coefficient():
-    base = IntPoly([1, 1, 1])
-    power = IntPoly.one()
-    for n in range(8):
-        assert [trinomial(n, k) for k in range(2 * n + 1)] == [
-            power.coeff(k) for k in range(2 * n + 1)
-        ]
-        power = power * base
+    # Rows of (1 + x + x^2)^n by T(n, k) = T(n-1, k) + T(n-1, k-1) + T(n-1, k-2),
+    # in plain ints, to the n the closed forms of the benchmark reach.
+    row = [1]
+    for n in range(41):
+        assert [trinomial(n, k) for k in range(-2, 2 * n + 3)] == [0, 0, *row, 0, 0]
+        padded = [0, 0, *row, 0, 0]
+        row = [sum(padded[k : k + 3]) for k in range(2 * n + 3)]
 
 
 @given(st.integers(min_value=0, max_value=40))

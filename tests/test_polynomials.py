@@ -6,6 +6,47 @@ from flcubes.polynomials import IntPoly
 
 coeff_lists = st.lists(st.integers(min_value=-10**6, max_value=10**6), max_size=8)
 
+# Rows for the kernel tests: up to 40 terms, with 0, +-1 (the kernels'
+# special cases) and ~800-bit coefficients (the size of the n = 800 rows).
+kernel_coeffs = st.one_of(
+    st.sampled_from((0, 1, -1)),
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.integers(min_value=-(2**800), max_value=2**800),
+)
+kernel_rows = st.lists(kernel_coeffs, max_size=40)
+
+
+@st.composite
+def cancelling_rows(draw):
+    """Rows a, b of one length whose top coefficients cancel in a + b."""
+    a = draw(st.lists(kernel_coeffs, min_size=1, max_size=40))
+    k = draw(st.integers(min_value=1, max_value=len(a)))
+    low = draw(st.lists(kernel_coeffs, min_size=len(a) - k, max_size=len(a) - k))
+    return a, low + [-c for c in a[len(a) - k :]]
+
+
+def trimmed(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def coefficient(cs, k):
+    return cs[k] if k < len(cs) else 0
+
+
+def sum_by_definition(a, b):
+    return trimmed(coefficient(a, k) + coefficient(b, k) for k in range(max(len(a), len(b))))
+
+
+def product_by_definition(a, b):
+    # c_k = sum over i + j = k of a_i * b_j
+    return trimmed(
+        sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+        for k in range(len(a) + len(b) - 1)
+    )
+
 
 def test_trailing_zeros_trimmed():
     assert IntPoly([1, 2, 0, 0]).coeffs == (1, 2)
@@ -77,3 +118,55 @@ def test_evaluation_is_a_homomorphism(a, b, x):
 def test_compose_matches_evaluation(a, b, x):
     pa, pb = IntPoly(a), IntPoly(b)
     assert pa.compose(pb)(x) == pa(pb(x))
+
+
+@given(kernel_rows, kernel_rows)
+def test_kernels_match_the_definitions(a, b):
+    pa, pb = IntPoly(a), IntPoly(b)
+    minus_b = [-c for c in b]
+    assert (pa + pb).coeffs == sum_by_definition(a, b)
+    assert (pb + pa).coeffs == sum_by_definition(a, b)
+    assert (pa - pb).coeffs == sum_by_definition(a, minus_b)
+    assert (pb - pa).coeffs == sum_by_definition(b, [-c for c in a])
+    assert (-pb).coeffs == trimmed(minus_b)
+    assert (pa * pb).coeffs == product_by_definition(a, b)
+    assert (pb * pa).coeffs == product_by_definition(a, b)
+
+
+@given(kernel_rows, kernel_coeffs)
+def test_kernels_match_the_definitions_with_an_int_operand(a, c):
+    pa = IntPoly(a)
+    assert (pa + c).coeffs == (c + pa).coeffs == sum_by_definition(a, [c])
+    assert (pa - c).coeffs == sum_by_definition(a, [-c])
+    assert (c - pa).coeffs == sum_by_definition([c], [-x for x in a])
+    assert (pa * c).coeffs == (c * pa).coeffs == product_by_definition(a, [c])
+
+
+@given(cancelling_rows())
+def test_kernels_trim_cancelled_top_coefficients(rows):
+    a, b = rows
+    pa, pb = IntPoly(a), IntPoly(b)
+    expected = sum_by_definition(a, b)
+    assert len(expected) < len(a)
+    assert (pa + pb).coeffs == (pb + pa).coeffs == expected
+    assert (pa - (-pb)).coeffs == expected
+    assert (pa - pa).coeffs == ()
+    assert (pa + (-pa)).coeffs == ()
+
+
+def test_constants_hash_as_their_int():
+    assert len({IntPoly((5,)), 5}) == 1
+    assert len({IntPoly(()), 0}) == 1
+    assert hash(IntPoly((-1,))) == hash(-1)
+
+
+polys_and_ints = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.builds(IntPoly, st.lists(st.integers(min_value=-3, max_value=3), max_size=3)),
+)
+
+
+@given(polys_and_ints, polys_and_ints)
+def test_equal_values_hash_equal(a, b):
+    if a == b:
+        assert hash(a) == hash(b)
