@@ -215,12 +215,9 @@ VALIDATED_FROM = {f: rec.seeds[-1] + 1 for f, rec in RECURRENCES.items() if rec.
 def recurrence_step(family: str, n: int, row) -> IntPoly:
     """Row n of ``family``'s recurrence from the earlier rows ``row(i)``."""
     steps = RECURRENCES[family].steps
-    terms = [
-        row(n - j) if c == _ONE else c * row(n - j)
-        for j, c in enumerate(steps[n % len(steps)], 1)
-        if c
-    ]
-    return sum(terms[1:], terms[0])
+    return IntPoly.sum_of_products(
+        (c, row(n - j)) for j, c in enumerate(steps[n % len(steps)], 1) if c
+    )
 
 
 def lattice_row(family: str, n: int) -> tuple[str, int]:

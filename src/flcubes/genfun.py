@@ -36,12 +36,12 @@ class RationalSeries:
         if count < 0:
             raise ValueError("count must be non-negative")
         num, den = self.numerator, self.denominator
+        neg_den = [-d for d in den[1:]]
         out: list[IntPoly] = []
         for n in range(count):
-            c = num[n] if n < len(num) else IntPoly.zero()
-            for i in range(1, min(n, len(den) - 1) + 1):
-                c = c - den[i] * out[n - i]
-            out.append(c)
+            # c_n = num_n - sum of den_i * c_(n-i), i = 1, 2, ...
+            head = ((1, num[n]),) if n < len(num) else ()
+            out.append(IntPoly.sum_of_products((*head, *zip(neg_den, reversed(out)))))
         return out
 
     def expand(self, count: int) -> list[IntPoly]:
@@ -57,9 +57,9 @@ class RationalSeries:
         coefficient that fails to reproduce the numerator, or None."""
         frac = self.fraction_coeffs(count)
         for n in range(count):
-            acc = IntPoly.zero()
-            for i in range(min(n, len(self.denominator) - 1) + 1):
-                acc = acc + self.denominator[i] * frac[n - i]
+            acc = IntPoly.sum_of_products(
+                (d, frac[n - i]) for i, d in enumerate(self.denominator[: n + 1])
+            )
             expected = self.numerator[n] if n < len(self.numerator) else IntPoly.zero()
             if acc != expected:
                 return f"y^{n}: expansion*denominator gives {acc}, numerator has {expected}"

@@ -107,23 +107,33 @@ class IntPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPoly(())
-        if len(a) > len(b):
-            a, b = b, a
-        m = len(b)
-        out = [0] * (len(a) + m - 1)
-        for i, c in enumerate(a):
-            if c == 1:
-                out[i:i + m] = map(add, out[i:i + m], b)
-            elif c == -1:
-                out[i:i + m] = map(sub, out[i:i + m], b)
-            elif c:
-                out[i:i + m] = map(add, out[i:i + m], map(mul, repeat(c), b))
-        return IntPoly(out)
+        short, long = (self, other) if len(self.coeffs) <= len(other.coeffs) else (other, self)
+        return IntPoly.sum_of_products(((short, long),))
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def sum_of_products(pairs: Iterable[tuple["IntPoly | int", "IntPoly"]]) -> "IntPoly":
+        """The sum of c * p over ``(c, p)`` pairs, where c is an IntPoly or an int.
+
+        This is the one convolution loop: every product is added straight
+        into a single row of ints, a slice of p per coefficient of c, and
+        one IntPoly is built at the end.  Pass the shorter factor as c.
+        """
+        out: list[int] = []
+        for c, p in pairs:
+            a = (c,) if isinstance(c, int) else c.coeffs
+            b = p.coeffs
+            m = len(b)
+            out.extend(repeat(0, len(a) + m - 1 - len(out)))
+            for i, k in enumerate(a):
+                if k == 1:
+                    out[i:i + m] = map(add, out[i:i + m], b)
+                elif k == -1:
+                    out[i:i + m] = map(sub, out[i:i + m], b)
+                elif k:
+                    out[i:i + m] = map(add, out[i:i + m], map(mul, repeat(k), b))
+        return IntPoly(out)
 
     def shift(self, k: int) -> "IntPoly":
         """Multiply by x**k."""

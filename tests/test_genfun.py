@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import golden_tables
+from flcubes import tables
 from flcubes.formulas import RECURRENCES, fib
 from flcubes.genfun import (
     ALL_SERIES,
@@ -85,6 +86,24 @@ def test_rank_series_at_one_counts_vertices():
 @pytest.mark.parametrize("family", sorted(ALL_SERIES))
 def test_exactness_through_y40(family):
     assert ALL_SERIES[family]().exactness_failure(41) is None
+
+
+LONG_RANGE_N = 200
+
+
+@pytest.mark.parametrize("family", sorted(ALL_SERIES))
+def test_expansions_match_the_recurrences_to_n200(family):
+    """Large-int rows: the GF route against the recurrence route, and the
+    series times its denominator against its numerator, past y^200."""
+    series = ALL_SERIES[family]()
+    half = RECURRENCES[family].half
+    if half is None:
+        expected = [tables.recurrence_poly(family, n) for n in range(LONG_RANGE_N + 1)]
+    else:
+        rows = range(half, LONG_RANGE_N + 1, 2)
+        expected = [tables.recurrence_poly("rank", n) for n in rows]
+    assert series.expand(len(expected)) == expected
+    assert series.exactness_failure(LONG_RANGE_N + 1) is None
 
 
 def _characteristic(step):

@@ -48,6 +48,15 @@ def product_by_definition(a, b):
     )
 
 
+def sum_of_products_by_definition(pairs):
+    # c_k = sum over the pairs (a, b) of sum over i + j = k of a_i * b_j
+    length = max((len(a) + len(b) - 1 for a, b in pairs), default=0)
+    return trimmed(
+        sum(a[i] * b[k - i] for a, b in pairs for i in range(len(a)) if 0 <= k - i < len(b))
+        for k in range(length)
+    )
+
+
 def test_trailing_zeros_trimmed():
     assert IntPoly([1, 2, 0, 0]).coeffs == (1, 2)
     assert IntPoly([0, 0]).coeffs == ()
@@ -170,3 +179,57 @@ polys_and_ints = st.one_of(
 def test_equal_values_hash_equal(a, b):
     if a == b:
         assert hash(a) == hash(b)
+
+
+# A factor c of sum_of_products is an int or an IntPoly; zero rows are drawn
+# on purpose, since a zero row still has to leave the sum unchanged.
+kernel_factors = st.one_of(kernel_coeffs, kernel_rows, st.lists(st.just(0), max_size=5))
+
+
+def as_factor(c):
+    return c if isinstance(c, int) else IntPoly(c)
+
+
+def as_row(c):
+    return [c] if isinstance(c, int) else c
+
+
+@given(st.lists(st.tuples(kernel_factors, kernel_rows), max_size=5))
+def test_sum_of_products_matches_the_definition(pairs):
+    got = IntPoly.sum_of_products((as_factor(c), IntPoly(p)) for c, p in pairs)
+    assert got.coeffs == sum_of_products_by_definition([(as_row(c), p) for c, p in pairs])
+
+
+def test_sum_of_products_of_nothing_is_zero():
+    assert IntPoly.sum_of_products([]).coeffs == ()
+    assert IntPoly.sum_of_products([(0, IntPoly([1, 2])), (IntPoly(), IntPoly([3]))]).coeffs == ()
+    assert IntPoly.sum_of_products([(5, IntPoly())]).coeffs == ()
+
+
+def test_sum_of_products_of_rows_of_different_lengths():
+    big = 2**800 + 1
+    pairs = [
+        (1, [4, 0, 0, 5]),
+        (-1, [0, 7]),
+        ([0, 0, 1], [1, -1, 0, 2, 0, 0, 3]),
+        (big, [1]),
+        ([-1, 0, big], [2, 0, -3]),
+        (0, [9, 9, 9, 9, 9, 9, 9, 9, 9, 9]),
+    ]
+    got = IntPoly.sum_of_products((as_factor(c), IntPoly(p)) for c, p in pairs)
+    expected = sum_of_products_by_definition([(as_row(c), p) for c, p in pairs])
+    assert got.coeffs == expected
+    assert expected == (big + 2, -7, 2 * big + 4, 4, -3 * big, 2, 0, 0, 3)
+
+
+@given(cancelling_rows(), kernel_factors)
+def test_sum_of_products_trims_cancelled_top_coefficients(rows, c):
+    a, b = rows
+    c = as_factor(c)
+    pa, pb = IntPoly(a), IntPoly(b)
+    expected = sum_by_definition(a, b)
+    assert len(expected) < len(a)
+    assert IntPoly.sum_of_products([(1, pa), (1, pb)]).coeffs == expected
+    assert IntPoly.sum_of_products([(1, pa), (-1, -pb)]).coeffs == expected
+    assert IntPoly.sum_of_products([(c, pa), (c, pb)]) == c * IntPoly(expected)
+    assert IntPoly.sum_of_products([(c, pa), (-c, pa)]).coeffs == ()
