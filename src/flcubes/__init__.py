@@ -3,10 +3,8 @@ polynomials, with census, recurrence, closed-form and generating-function
 routes that can all be cross-checked against each other."""
 
 from .census import (
-    CubeInterval,
     cube_polynomial,
     degree_polynomial,
-    enumerate_cubes,
     generic_cube_count,
     indegree_polynomial,
     maximal_cube_polynomial,

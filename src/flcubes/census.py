@@ -3,23 +3,22 @@
 The diagram censuses are definition-level: everything is counted directly
 from the diagram, vertices per rank, induced hypercubes as Boolean
 intervals, and vertices per degree, indegree and outdegree.  One cached scan
-lists the Boolean intervals; a cube is maximal when no cube one dimension up
-in that list extends it by a cover of its top or below its bottom, which
-needs no join and no order test.  The scan refuses diagrams whose masks
-(about 2·V² bits) or joins (one per subset of each vertex's covers) exceed
-its bounds.  The poset-native census counts the same six families from
-the filters' minimal and addable elements, in one linear pass and without
-building the diagram; the diagram scan is the oracle it is tested against.
-No closed form or recurrence is consulted, so these results can arbitrate
-them.
+tables the Boolean intervals per bottom, as {top: dimension}; a cube is
+maximal when no cube one dimension up in that table extends it by a cover
+of its top or below its bottom, which needs no join and no order test.  The
+scan refuses diagrams whose masks (about 2·V² bits) or joins (one per subset
+of each vertex's covers) exceed its bounds.  The poset-native census counts
+the same six families from the filters' minimal and addable elements, in one
+linear pass and without building the diagram; the diagram scan is the oracle
+it is tested against.  No closed form or recurrence is consulted, so these
+results can arbitrate them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from typing import Iterable
 
@@ -34,23 +33,17 @@ GENERIC_GRAPH_BOUND = 30
 GENERIC_DIM_BOUND = 3
 
 
-@dataclass(frozen=True)
-class CubeInterval:
-    """A lattice interval isomorphic to the Boolean lattice of rank ``dim``."""
-
-    bottom: int
-    top: int
-    dim: int
-
-
 @lru_cache(maxsize=64)
-def _scan(diagram: LatticeDiagram) -> dict[tuple[int, int], int]:
-    """Every Boolean interval of the diagram, as (bottom, top) -> dimension.
+def _scan(diagram: LatticeDiagram) -> list[dict[int, int]]:
+    """Every Boolean interval of the diagram: per bottom a, {top: dimension}.
 
-    Vertices are re-indexed by ascending rank so that the least element of
-    any up-set intersection is its lowest set bit; a join then costs one
-    mask AND plus a least-upper-bound check.  Both bounds are checked before
-    any mask is built.
+    ``tops[a]`` holds a itself with dimension 0 and the join j of every
+    subset S of a's covers for which [a, j] spans rank |S| and has 2^|S|
+    elements.  Vertices are re-indexed by ascending rank so that the least
+    element of any up-set intersection is its lowest set bit; a join then
+    costs one mask AND, and it is the least upper bound exactly when the
+    intersection equals that element's own up-set.  Both bounds are checked
+    before any mask is built.
     """
     n = len(diagram)
     if n > CENSUS_VERTEX_BOUND:
@@ -73,25 +66,27 @@ def _scan(diagram: LatticeDiagram) -> dict[tuple[int, int], int]:
             m |= dnm[w]
         dnm[v] = m
 
-    cubes: dict[tuple[int, int], int] = {}
+    tops: list[dict[int, int]] = []
     for a in range(n):
-        cubes[(a, a)] = 0
+        found = {a: 0}
+        tops.append(found)
         ups = up_adj[a]
+        rank_a, up_a = ranks[a], upm[a]
         joins = [a] * (1 << len(ups))  # join of each subset of the covers of a
         for smask in range(1, len(joins)):
             low = smask & -smask
             common = upm[joins[smask ^ low]] & upm[ups[low.bit_length() - 1]]
             j = order[(common & -common).bit_length() - 1]
-            if common & ~upm[j]:
+            if common != upm[j]:  # upm[j] <= common, as common is an up-set
                 raise ValueError("join is not unique; diagram is not a lattice")
             joins[smask] = j
             k = smask.bit_count()
-            if ranks[j] - ranks[a] != k or (upm[a] & dnm[j]).bit_count() != 1 << k:
+            if ranks[j] - rank_a != k or (up_a & dnm[j]).bit_count() != 1 << k:
                 continue
-            if (a, j) in cubes:
+            if j in found:
                 raise ValueError("two cover subsets span one Boolean interval")
-            cubes[(a, j)] = k
-    return cubes
+            found[j] = k
+    return tops
 
 
 # -- polynomial censuses ----------------------------------------------------
@@ -111,23 +106,9 @@ def rank_polynomial(diagram: LatticeDiagram) -> IntPoly:
     return _histogram(diagram.ranks)
 
 
-def enumerate_cubes(diagram: LatticeDiagram) -> list[CubeInterval]:
-    """All Boolean intervals, each exactly once, dimension 0 included.
-
-    A cube is a pair (bottom, S) with S a set of covers of the bottom whose
-    join closes a 2^|S|-element interval of rank span |S|.  The bottom and
-    its atom set are recoverable from the interval, so each induced cube is
-    produced once.
-    """
-    return sorted(
-        (CubeInterval(a, j, k) for (a, j), k in _scan(diagram).items()),
-        key=lambda c: (c.dim, c.bottom, c.top),
-    )
-
-
 def cube_polynomial(diagram: LatticeDiagram) -> IntPoly:
     """Coefficient k counts the induced k-dimensional hypercubes."""
-    return _histogram(_scan(diagram).values())
+    return _histogram(chain.from_iterable(map(dict.values, _scan(diagram))))
 
 
 def maximal_cube_polynomial(diagram: LatticeDiagram) -> IntPoly:
@@ -137,15 +118,17 @@ def maximal_cube_polynomial(diagram: LatticeDiagram) -> IntPoly:
     and a face lies in a facet one dimension up that keeps its bottom or
     its top.  So [a, j] is maximal iff neither [a, u] for a cover u of j
     nor [b, j] for a vertex b covered by a is a cube; in a graded diagram
-    either would have dimension one more.
+    either would have dimension one more.  The top side is one disjointness
+    test against a's table, and the bottom side runs only when it passes.
     """
-    cubes = _scan(diagram)
+    tops = _scan(diagram)
     up_adj, down_adj = diagram.up_adj, diagram.down_adj
     return _histogram(
         k
-        for (a, j), k in cubes.items()
-        if not any((a, u) in cubes for u in up_adj[j])
-        and not any((b, j) in cubes for b in down_adj[a])
+        for a, found in enumerate(tops)
+        for j, k in found.items()
+        if found.keys().isdisjoint(up_adj[j])
+        and not any(j in tops[b] for b in down_adj[a])
     )
 
 

@@ -91,19 +91,19 @@ class LatticeDiagram:
 
     @cached_property
     def up_adj(self) -> tuple[tuple[int, ...], ...]:
-        """Per vertex, the vertices covering it (its in-neighbours)."""
+        """Per vertex, the vertices covering it (its in-neighbours), ascending."""
         out: list[list[int]] = [[] for _ in self.vertices]
-        for u, v in sorted(self.arcs):
+        for u, v in self.arcs:
             out[v].append(u)
-        return tuple(tuple(l) for l in out)
+        return tuple(tuple(sorted(l)) for l in out)
 
     @cached_property
     def down_adj(self) -> tuple[tuple[int, ...], ...]:
-        """Per vertex, the vertices it covers (its out-neighbours)."""
+        """Per vertex, the vertices it covers (its out-neighbours), ascending."""
         out: list[list[int]] = [[] for _ in self.vertices]
-        for u, v in sorted(self.arcs):
+        for u, v in self.arcs:
             out[u].append(v)
-        return tuple(tuple(l) for l in out)
+        return tuple(tuple(sorted(l)) for l in out)
 
     @cached_property
     def up_masks(self) -> tuple[int, ...]:

@@ -5,10 +5,8 @@ import golden_tables
 from conftest import posets
 from flcubes import census, tables
 from flcubes.census import (
-    CubeInterval,
     cube_polynomial,
     degree_polynomial,
-    enumerate_cubes,
     generic_cube_count,
     indegree_polynomial,
     maximal_cube_polynomial,
@@ -54,31 +52,30 @@ def test_rank_polynomial_sums_to_vertex_count():
         assert rank_polynomial(d)(1) == len(d)
 
 
+def cubes_of(d):
+    """The scan's cubes as (dim, bottom, top), sorted."""
+    return sorted((k, a, j) for a, found in enumerate(census._scan(d)) for j, k in found.items())
+
+
 def test_enumerate_cubes_small():
     d = phi(1)
-    cubes = enumerate_cubes(d)
-    assert [c.dim for c in cubes] == [0, 0, 1]
-    assert all(isinstance(c, CubeInterval) for c in cubes)
+    assert [dim for dim, _, _ in cubes_of(d)] == [0, 0, 1]
     assert cube_polynomial(phi(4)) == IntPoly([6, 6, 1])
     assert cube_polynomial(phi(7)) == IntPoly([26, 48, 28, 5])
 
 
 def test_cubes_are_boolean_intervals():
     d = phi(6)
-    for cube in enumerate_cubes(d):
-        members = [
-            v
-            for v in range(len(d))
-            if d.leq(cube.bottom, v) and d.leq(v, cube.top)
-        ]
-        assert len(members) == 1 << cube.dim
-        assert d.ranks[cube.top] - d.ranks[cube.bottom] == cube.dim
+    for dim, bottom, top in cubes_of(d):
+        members = [v for v in range(len(d)) if d.leq(bottom, v) and d.leq(v, top)]
+        assert len(members) == 1 << dim
+        assert d.ranks[top] - d.ranks[bottom] == dim
 
 
 def test_cubes_unique():
     d = phi(7)
-    cubes = enumerate_cubes(d)
-    assert len({(c.bottom, c.top) for c in cubes}) == len(cubes)
+    cubes = cubes_of(d)
+    assert len({(bottom, top) for _, bottom, top in cubes}) == len(cubes)
 
 
 def lattice_from_covers(ranks, covers):
@@ -95,18 +92,18 @@ def test_maximal_cube_vertex_sets_by_exhaustive_containment():
     # vertices in ascending rank, the filter lattices in descending rank
     expansion = convex_expansion(*deletion_cutting(sfence(7), 7))
     for d in [phi(n) for n in range(8)] + [M3, expansion]:
-        cubes = enumerate_cubes(d)
+        cubes = cubes_of(d)
         sets = {
-            (c.bottom, c.top): frozenset(
-                v for v in range(len(d)) if d.leq(c.bottom, v) and d.leq(v, c.top)
+            (bottom, top): frozenset(
+                v for v in range(len(d)) if d.leq(bottom, v) and d.leq(v, top)
             )
-            for c in cubes
+            for _, bottom, top in cubes
         }
-        maximal_count = [0] * (max(c.dim for c in cubes) + 1)
-        for c in cubes:
-            mine = sets[(c.bottom, c.top)]
+        maximal_count = [0] * (max(dim for dim, _, _ in cubes) + 1)
+        for dim, bottom, top in cubes:
+            mine = sets[(bottom, top)]
             if not any(mine < other for other in sets.values()):
-                maximal_count[c.dim] += 1
+                maximal_count[dim] += 1
         assert maximal_cube_polynomial(d) == IntPoly(maximal_count), len(d)
     assert maximal_cube_polynomial(expansion) == IntPoly([0, 0, 2, 5])
 
@@ -116,27 +113,126 @@ def test_census_on_a_non_distributive_lattice():
     assert maximal_cube_polynomial(M3) == IntPoly([0, 6])
 
 
+# bowtie: both atoms lie below both coatoms, so the atoms have no join
+BOWTIE = lattice_from_covers(
+    (0, 1, 1, 2, 2, 3),
+    [(1, 0), (2, 0), (3, 1), (3, 2), (4, 1), (4, 2), (5, 3), (5, 4)],
+)
+
+# a < s1, s2 < x < j and a < s3, s4 < y < j: {s1, s2, s3} and {s1, s2, s4}
+# both join to j, and [a, j] has 2^3 elements
+_a, _s1, _s2, _s3, _s4, _x, _y, _j = range(8)
+TWO_SUBSETS = lattice_from_covers(
+    (0, 1, 1, 1, 1, 2, 2, 3),
+    [(_s1, _a), (_s2, _a), (_s3, _a), (_s4, _a), (_x, _s1), (_x, _s2), (_y, _s3),
+     (_y, _s4), (_j, _x), (_j, _y)],
+)
+
+
 def test_scan_refuses_a_graded_non_lattice():
-    # bowtie: both atoms lie below both coatoms, so the atoms have no join
-    bowtie = lattice_from_covers(
-        (0, 1, 1, 2, 2, 3),
-        [(1, 0), (2, 0), (3, 1), (3, 2), (4, 1), (4, 2), (5, 3), (5, 4)],
-    )
     with pytest.raises(ValueError, match="join is not unique"):
-        cube_polynomial(bowtie)
+        cube_polynomial(BOWTIE)
 
 
 def test_scan_refuses_two_cover_subsets_spanning_one_interval():
-    # a < s1, s2 < x < j and a < s3, s4 < y < j: {s1, s2, s3} and
-    # {s1, s2, s4} both join to j, and [a, j] has 2^3 elements
-    a, s1, s2, s3, s4, x, y, j = range(8)
-    lattice = lattice_from_covers(
-        (0, 1, 1, 1, 1, 2, 2, 3),
-        [(s1, a), (s2, a), (s3, a), (s4, a), (x, s1), (x, s2), (y, s3), (y, s4),
-         (j, x), (j, y)],
-    )
     with pytest.raises(ValueError, match="two cover subsets span one Boolean interval"):
-        cube_polynomial(lattice)
+        cube_polynomial(TWO_SUBSETS)
+
+
+# -- the scan against its tuple-keyed reference ------------------------------------
+
+
+def reference_scan(diagram):
+    """The scan as one (bottom, top) -> dimension dict, with the join's
+    least-upper-bound check written as "no bit of the intersection outside
+    the candidate's up-set"; kept as the slow path the per-bottom table and
+    the equality check are compared with."""
+    n = len(diagram)
+    ranks, up_adj, down_adj = diagram.ranks, diagram.up_adj, diagram.down_adj
+    order = sorted(range(n), key=lambda v: (ranks[v], v))
+    pos = {v: i for i, v in enumerate(order)}
+    upm = [0] * n
+    for v in reversed(order):
+        m = 1 << pos[v]
+        for u in up_adj[v]:
+            m |= upm[u]
+        upm[v] = m
+    dnm = [0] * n
+    for v in order:
+        m = 1 << pos[v]
+        for w in down_adj[v]:
+            m |= dnm[w]
+        dnm[v] = m
+
+    cubes = {}
+    for a in range(n):
+        cubes[(a, a)] = 0
+        ups = up_adj[a]
+        joins = [a] * (1 << len(ups))
+        for smask in range(1, len(joins)):
+            low = smask & -smask
+            common = upm[joins[smask ^ low]] & upm[ups[low.bit_length() - 1]]
+            j = order[(common & -common).bit_length() - 1]
+            if common & ~upm[j]:
+                raise ValueError("join is not unique; diagram is not a lattice")
+            joins[smask] = j
+            k = smask.bit_count()
+            if ranks[j] - ranks[a] != k or (upm[a] & dnm[j]).bit_count() != 1 << k:
+                continue
+            if (a, j) in cubes:
+                raise ValueError("two cover subsets span one Boolean interval")
+            cubes[(a, j)] = k
+    return cubes
+
+
+def reference_maxcubes(diagram, cubes):
+    """Dimensions of the cubes with no facet one dimension up in ``cubes``."""
+    up_adj, down_adj = diagram.up_adj, diagram.down_adj
+    return [
+        k
+        for (a, j), k in cubes.items()
+        if not any((a, u) in cubes for u in up_adj[j])
+        and not any((b, j) in cubes for b in down_adj[a])
+    ]
+
+
+def histogram(values):
+    values = list(values)
+    return IntPoly([values.count(k) for k in range(max(values, default=-1) + 1)])
+
+
+def assert_scan_matches_reference(d):
+    cubes = reference_scan(d)
+    flat = {(a, j): k for a, found in enumerate(census._scan(d)) for j, k in found.items()}
+    assert flat == cubes
+    assert cube_polynomial(d) == histogram(cubes.values())
+    assert maximal_cube_polynomial(d) == histogram(reference_maxcubes(d, cubes))
+
+
+@pytest.mark.parametrize("build", [fence, lambda n: fence(n).dual()], ids=["fence", "dual-fence"])
+def test_scan_matches_reference_on_fences(build):
+    for n in range(11):
+        assert_scan_matches_reference(filter_lattice(build(n)))
+
+
+def test_scan_matches_reference_on_an_expansion_and_m3():
+    assert_scan_matches_reference(convex_expansion(*deletion_cutting(sfence(7), 7)))
+    assert_scan_matches_reference(M3)
+
+
+@given(posets(max_size=7))
+@settings(max_examples=80, deadline=None)
+def test_scan_matches_reference_on_random_posets(p):
+    assert_scan_matches_reference(filter_lattice(p))
+
+
+@pytest.mark.parametrize("lattice", [BOWTIE, TWO_SUBSETS], ids=["bowtie", "two-subsets"])
+def test_scan_refuses_what_the_reference_refuses(lattice):
+    with pytest.raises(ValueError) as want:
+        reference_scan(lattice)
+    with pytest.raises(ValueError) as got:
+        census._scan(lattice)
+    assert str(got.value) == str(want.value)
 
 
 def test_scan_vertex_bound():

@@ -1,11 +1,13 @@
 """Golden stdout of the command line, frozen from the seed release.
 
 ``golden_cli.json`` maps each argument list to its exit code and either its
-whole stdout (``verify`` and every ``--help``) or, for the long ``table``
-and ``gf`` outputs, the SHA-256 of its stdout.  It covers ``table`` for
-every valid (family, method) pair, ``gf`` for all seven series, ``verify
-12`` and the help text of the group and of each subcommand, which pins the
-order of the family and method choices.
+whole stdout (``verify`` and every ``--help``) or, for the long ``table``,
+``gf`` and ``dot`` outputs, the SHA-256 of its stdout.  It covers ``table``
+for every valid (family, method) pair, ``gf`` for all seven series, ``verify
+12``, ``dot`` for the 7th S-fence and for ``golden.poset``, and the help
+text of the group and of each subcommand, which pins the order of the family
+and method choices.  Commands run in this directory, so a poset file is
+named by its bare file name.
 """
 
 import hashlib
@@ -21,7 +23,8 @@ GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text(encodi
 
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN))
-def test_cli_stdout_matches_golden(argv):
+def test_cli_stdout_matches_golden(argv, monkeypatch):
+    monkeypatch.chdir(Path(__file__).parent)
     expected = GOLDEN[argv]
     result = CliRunner().invoke(main, argv.split(), prog_name="flcubes")
     assert result.exit_code == expected["exit"]

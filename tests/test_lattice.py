@@ -61,6 +61,36 @@ def test_arcs_are_single_element_differences():
         assert d.ranks[u] == d.ranks[v] + 1
 
 
+def sorted_arc_adjacency(d):
+    """up_adj and down_adj built by walking the whole arc set in sorted order."""
+    up = [[] for _ in d.vertices]
+    down = [[] for _ in d.vertices]
+    for u, v in sorted(d.arcs):
+        up[v].append(u)
+        down[u].append(v)
+    return tuple(map(tuple, up)), tuple(map(tuple, down))
+
+
+def assert_adjacency_matches_sorted_arcs(d):
+    assert (d.up_adj, d.down_adj) == sorted_arc_adjacency(d)
+
+
+@given(posets(max_size=7))
+@settings(max_examples=60, deadline=None)
+def test_adjacency_matches_sorted_arcs_on_random_posets(p):
+    assert_adjacency_matches_sorted_arcs(filter_lattice(p))
+    for x in p.elements[:2]:
+        assert_adjacency_matches_sorted_arcs(convex_expansion(*deletion_cutting(p, x)))
+
+
+def test_adjacency_matches_sorted_arcs_on_expansions():
+    for n in (5, 6, 7, 8):
+        host, interval = deletion_cutting(sfence(n), n)
+        assert_adjacency_matches_sorted_arcs(host)
+        assert_adjacency_matches_sorted_arcs(convex_expansion(host, interval))
+        assert_adjacency_matches_sorted_arcs(interval_diagram(host, interval))
+
+
 def test_leq_and_masks():
     d = phi(5)
     assert d.leq(d.bottom, d.top)
