@@ -119,13 +119,11 @@ BOWTIE = lattice_from_covers(
     [(1, 0), (2, 0), (3, 1), (3, 2), (4, 1), (4, 2), (5, 3), (5, 4)],
 )
 
-# a < s1, s2 < x < j and a < s3, s4 < y < j: {s1, s2, s3} and {s1, s2, s4}
-# both join to j, and [a, j] has 2^3 elements
-_a, _s1, _s2, _s3, _s4, _x, _y, _j = range(8)
+# a < s1, s2 < x < j and a < s3, s4 < y < j, as vertices 0..7 in that order:
+# {s1, s2, s3} and {s1, s2, s4} both join to j, and [a, j] has 2^3 elements
 TWO_SUBSETS = lattice_from_covers(
     (0, 1, 1, 1, 1, 2, 2, 3),
-    [(_s1, _a), (_s2, _a), (_s3, _a), (_s4, _a), (_x, _s1), (_x, _s2), (_y, _s3),
-     (_y, _s4), (_j, _x), (_j, _y)],
+    [(1, 0), (2, 0), (3, 0), (4, 0), (5, 1), (5, 2), (6, 3), (6, 4), (7, 5), (7, 6)],
 )
 
 
