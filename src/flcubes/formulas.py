@@ -71,24 +71,26 @@ def r_coeff(n: int, k: int) -> int:
     if k < 0:
         return 0
     m, odd = divmod(n, 2)
+    # trinomial(a, b) vanishes unless 0 <= b <= 2a, so each sum stops at
+    # the last i whose trinomial arguments can be in range.
     if odd:
         total = 0
-        for i in range(m // 2 + 1):
+        for i in range(min(m // 2, k // 2, (2 * m - k + 1) // 2) + 1):
             total += (-1) ** i * binom(m - i, i) * (
                 trinomial(m - 2 * i, k - 2 * i) + trinomial(m - 2 * i, k - 2 * i - 1)
             )
-        for i in range((m - 1) // 2 + 1):
+        for i in range(min((m - 1) // 2, (k - 1) // 2, (2 * m - k) // 2) + 1):
             total -= (-1) ** i * binom(m - i - 1, i) * (
                 trinomial(m - 2 * i - 1, k - 2 * i - 1)
                 + trinomial(m - 2 * i - 1, k - 2 * i - 2)
             )
         return total
     total = 1 if (m == 1 and k == 0) else 0
-    for i in range(m // 2 + 1):
+    for i in range(min(m // 2, k // 2, (2 * m - k) // 2) + 1):
         total += (-1) ** i * binom(m - i, i) * trinomial(m - 2 * i, k - 2 * i)
-    for i in range((m - 1) // 2 + 1):
+    for i in range(min((m - 1) // 2, k // 2, (2 * m - k - 2) // 2) + 1):
         total -= (-1) ** i * binom(m - i - 1, i) * trinomial(m - 2 * i - 1, k - 2 * i)
-    for i in range((m - 2) // 2 + 1):
+    for i in range(min((m - 2) // 2, k // 2, (2 * m - k - 4) // 2) + 1):
         total += (-1) ** i * binom(m - i - 2, i) * trinomial(m - 2 * i - 2, k - 2 * i)
     return total
 
@@ -99,12 +101,13 @@ def q_coeff(n: int, k: int) -> int:
         raise ValueError("n must be non-negative")
     if k < 0:
         return 0
+    # binom(j, k) vanishes for j < k, so each sum starts at j = k at least.
     total = 0
-    for j in range((n + 1) // 2 + 1):
+    for j in range(k, (n + 1) // 2 + 1):
         total += binom(n - j + 1, j) * binom(j, k)
-    for j in range(2, (n + 1) // 2 + 1):
+    for j in range(max(k, 2), (n + 1) // 2 + 1):
         total -= binom(n - j - 1, j - 2) * binom(j, k)
-    for j in range(2, n // 2 + 1):
+    for j in range(max(k, 2), n // 2 + 1):
         total -= binom(n - j - 2, j - 2) * binom(j, k)
     return total
 
@@ -124,8 +127,10 @@ def d_coeff(n: int, k: int) -> int:
         raise ValueError("closed degree form is defined for n >= 3")
     if k < 0:
         return 0
+    # Every term has a factor binom(j, n - k - j) or binom(j, n - k - j - 1),
+    # which vanishes unless (n - k) // 2 <= j <= n - k.
     total = 0
-    for j in range(k + 1):
+    for j in range(max(0, (n - k) // 2), min(k, n - k) + 1):
         total += binom(n - 2 * j, k - j) * binom(j, n - k - j)
         total += binom(n - 2 * j - 1, k - j) * binom(j, n - k - j - 1)
         total -= binom(n - 2 * j - 2, k - j - 2) * binom(j, n - k - j)

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, mul, neg, sub
 from typing import Iterable
+
+# Terms of sum_of_products folded into one pass over the output row.  A
+# bounded window keeps the iterator nesting shallow and pads each term with
+# zeros over the window's span only, not the whole row.
+_WINDOW = 8
 
 
 class IntPoly:
@@ -18,10 +23,11 @@ class IntPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()) -> None:
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = tuple(coeffs)
+        end = len(cs)
+        while end and cs[end - 1] == 0:
+            end -= 1
+        object.__setattr__(self, "coeffs", cs[:end])
 
     def __setattr__(self, name, value):
         raise AttributeError("IntPoly is immutable")
@@ -116,23 +122,36 @@ class IntPoly:
     def sum_of_products(pairs: Iterable[tuple["IntPoly | int", "IntPoly"]]) -> "IntPoly":
         """The sum of c * p over ``(c, p)`` pairs, where c is an IntPoly or an int.
 
-        This is the one convolution loop: every product is added straight
-        into a single row of ints, a slice of p per coefficient of c, and
-        one IntPoly is built at the end.  Pass the shorter factor as c.
+        This is the one convolution loop.  Each nonzero coefficient k at
+        power i of a c gives a term k * x**i * p.  The terms are taken a
+        window at a time: each term is padded with zeros to the window's
+        span, and ``map(add, ...)`` (``sub`` where k = -1) folds them into
+        one iterator that adds the whole window in a single pass over the
+        row.  Pass the shorter factor as c.
         """
+        terms = [
+            (i, k, b)
+            for c, p in pairs
+            if (b := p.coeffs)
+            for i, k in enumerate((c,) if isinstance(c, int) else c.coeffs)
+            if k
+        ]
         out: list[int] = []
-        for c, p in pairs:
-            a = (c,) if isinstance(c, int) else c.coeffs
-            b = p.coeffs
-            m = len(b)
-            out.extend(repeat(0, len(a) + m - 1 - len(out)))
-            for i, k in enumerate(a):
-                if k == 1:
-                    out[i:i + m] = map(add, out[i:i + m], b)
-                elif k == -1:
-                    out[i:i + m] = map(sub, out[i:i + m], b)
-                elif k:
-                    out[i:i + m] = map(add, out[i:i + m], map(mul, repeat(k), b))
+        for w in range(0, len(terms), _WINDOW):
+            window = terms[w:w + _WINDOW]
+            hi = max(i + len(b) for i, _, b in window)
+            if w:  # add into the row built so far, over this window's span
+                lo = min(i for i, _, _ in window)
+                out.extend(repeat(0, hi - len(out)))
+                acc = out[lo:hi]
+            else:
+                lo, acc = 0, None
+            for i, k, b in window:
+                # k = -1 subtracts b, except as the first term of the row
+                scaled = b if k == 1 or (k == -1 and acc is not None) else map(mul, repeat(k), b)
+                row = chain(repeat(0, i - lo), scaled, repeat(0, hi - i - len(b)))
+                acc = row if acc is None else map(sub if k == -1 else add, acc, row)
+            out[lo:hi] = acc
         return IntPoly(out)
 
     def shift(self, k: int) -> "IntPoly":

@@ -17,7 +17,7 @@ from flcubes.formulas import (
     trinomial,
 )
 from flcubes.polynomials import IntPoly
-from flcubes.tables import recurrence_poly
+from flcubes.tables import CLOSED_MIN_N, recurrence_poly
 
 CLOSED = {
     "rank": (r_coeff, 2),
@@ -180,6 +180,86 @@ def test_closed_forms_track_recurrences_deep():
         assert IntPoly([h_coeff(n, k) for k in range(n + 1)]) == recurrence_poly("maxcube", n)
         assert IntPoly([d_coeff(n, k) for k in range(n + 1)]) == recurrence_poly("degree", n)
         assert IntPoly([dm_coeff(n, k) for k in range(n + 1)]) == recurrence_poly("indegree", n)
+
+
+# The closed forms as printed: every sum over its full range, relying on
+# binom's and trinomial's zero convention to kill the out-of-range terms.
+# The evaluators skip those terms; these are the reference they must match.
+
+
+def r_full(n, k):
+    if k < 0:
+        return 0
+    m, odd = divmod(n, 2)
+    if odd:
+        total = 0
+        for i in range(m // 2 + 1):
+            total += (-1) ** i * binom(m - i, i) * (
+                trinomial(m - 2 * i, k - 2 * i) + trinomial(m - 2 * i, k - 2 * i - 1)
+            )
+        for i in range((m - 1) // 2 + 1):
+            total -= (-1) ** i * binom(m - i - 1, i) * (
+                trinomial(m - 2 * i - 1, k - 2 * i - 1)
+                + trinomial(m - 2 * i - 1, k - 2 * i - 2)
+            )
+        return total
+    total = 1 if (m == 1 and k == 0) else 0
+    for i in range(m // 2 + 1):
+        total += (-1) ** i * binom(m - i, i) * trinomial(m - 2 * i, k - 2 * i)
+    for i in range((m - 1) // 2 + 1):
+        total -= (-1) ** i * binom(m - i - 1, i) * trinomial(m - 2 * i - 1, k - 2 * i)
+    for i in range((m - 2) // 2 + 1):
+        total += (-1) ** i * binom(m - i - 2, i) * trinomial(m - 2 * i - 2, k - 2 * i)
+    return total
+
+
+def q_full(n, k):
+    if k < 0:
+        return 0
+    total = 0
+    for j in range((n + 1) // 2 + 1):
+        total += binom(n - j + 1, j) * binom(j, k)
+    for j in range(2, (n + 1) // 2 + 1):
+        total -= binom(n - j - 1, j - 2) * binom(j, k)
+    for j in range(2, n // 2 + 1):
+        total -= binom(n - j - 2, j - 2) * binom(j, k)
+    return total
+
+
+def h_full(n, k):
+    if k < 0:
+        return 0
+    return binom(k + 1, n - 2 * k) + binom(k, n - 2 * k - 1)
+
+
+def d_full(n, k):
+    if k < 0:
+        return 0
+    total = 0
+    for j in range(k + 1):
+        total += binom(n - 2 * j, k - j) * binom(j, n - k - j)
+        total += binom(n - 2 * j - 1, k - j) * binom(j, n - k - j - 1)
+        total -= binom(n - 2 * j - 2, k - j - 2) * binom(j, n - k - j)
+    return total
+
+
+def dm_full(n, k):
+    if k < 0:
+        return 0
+    return binom(n - k - 2, k - 1) + binom(n - k, k)
+
+
+FULL_RANGE = {"rank": r_full, "cube": q_full, "maxcube": h_full, "degree": d_full, "indegree": dm_full}
+
+
+@pytest.mark.parametrize("family", sorted(FULL_RANGE))
+def test_closed_forms_equal_their_full_range_sums(family):
+    coeff, lo = CLOSED[family]
+    assert lo == CLOSED_MIN_N[family]
+    full = FULL_RANGE[family]
+    for n in range(lo, 81):
+        for k in range(-2, n + 4):
+            assert coeff(n, k) == full(n, k), (family, n, k)
 
 
 def test_indegree_compose_equals_cube_deep():

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flcubes.polynomials import IntPoly
+from flcubes.polynomials import _WINDOW, IntPoly
 
 coeff_lists = st.lists(st.integers(min_value=-10**6, max_value=10**6), max_size=8)
 
@@ -61,6 +61,23 @@ def test_trailing_zeros_trimmed():
     assert IntPoly([1, 2, 0, 0]).coeffs == (1, 2)
     assert IntPoly([0, 0]).coeffs == ()
     assert IntPoly([0, 0]).is_zero()
+
+
+@pytest.mark.parametrize(
+    "cs, expected",
+    [
+        ([1, 2, 0, 0], (1, 2)),
+        ([0, -3, 0, 5], (0, -3, 0, 5)),
+        ([2**800, 0], (2**800,)),
+        ([0, 0, 0], ()),
+        ([], ()),
+    ],
+)
+def test_constructor_gives_one_tuple_for_any_iterable(cs, expected):
+    inputs = [cs, tuple(cs), (c for c in cs), map(int, cs), iter(cs)]
+    for x in inputs:
+        assert IntPoly(x).coeffs == expected
+        assert type(IntPoly(x).coeffs) is tuple
 
 
 def test_degree_and_coeff():
@@ -233,3 +250,63 @@ def test_sum_of_products_trims_cancelled_top_coefficients(rows, c):
     assert IntPoly.sum_of_products([(1, pa), (-1, -pb)]).coeffs == expected
     assert IntPoly.sum_of_products([(c, pa), (c, pb)]) == c * IntPoly(expected)
     assert IntPoly.sum_of_products([(c, pa), (-c, pa)]).coeffs == ()
+
+
+# Rows with more nonzero coefficients than one window of the kernel, so the
+# terms of one factor are folded in several windows.
+many_terms = st.lists(
+    st.one_of(st.sampled_from((1, -1, 2, -7)), st.integers(min_value=-(2**200), max_value=2**200)),
+    min_size=_WINDOW + 1,
+    max_size=3 * _WINDOW + 2,
+).filter(lambda cs: sum(1 for c in cs if c) > _WINDOW)
+
+
+@given(many_terms, kernel_rows, st.lists(st.tuples(kernel_factors, kernel_rows), max_size=3))
+def test_sum_of_products_over_several_windows(a, b, more):
+    pairs = [(a, b), *((as_row(c), p) for c, p in more)]
+    got = IntPoly.sum_of_products((IntPoly(c), IntPoly(p)) for c, p in pairs)
+    assert got.coeffs == sum_of_products_by_definition(pairs)
+    assert (IntPoly(a) * IntPoly(b)).coeffs == product_by_definition(a, b)
+
+
+@given(st.lists(st.tuples(st.sampled_from((0, 1, -1, 2, -2, 10**30)), kernel_rows), max_size=3 * _WINDOW))
+def test_sum_of_products_of_many_int_scalars(pairs):
+    # each nonzero int scalar is one term, so long lists span several windows
+    got = IntPoly.sum_of_products((c, IntPoly(p)) for c, p in pairs)
+    assert got.coeffs == sum_of_products_by_definition([([c], p) for c, p in pairs])
+
+
+def test_sum_of_products_with_zero_polynomials_in_every_window():
+    row = [3, -1, 4, 1, -5]
+    pairs = [(c, row if c % 3 else []) for c in range(-_WINDOW, 2 * _WINDOW)]
+    pairs += [([0] * 5, row), ([], row), (list(range(2 * _WINDOW)), [])]
+    got = IntPoly.sum_of_products((IntPoly(as_row(c)), IntPoly(p)) for c, p in pairs)
+    assert got.coeffs == sum_of_products_by_definition([(as_row(c), p) for c, p in pairs])
+
+
+def test_sum_of_products_of_rows_of_different_lengths_across_windows():
+    # shifts that go down as well as up from one window to the next
+    pairs = [
+        ([0] * 12 + [1] * 9, [1, 2, 3]),
+        ([1, -1, 2] * 4, [5] * 30),
+        (-1, [0, 0, 0, 0, 0, 0, 0, 0, 0, 7]),
+        ([0] * 40 + [2], [1]),
+    ]
+    got = IntPoly.sum_of_products((IntPoly(as_row(c)), IntPoly(p)) for c, p in pairs)
+    assert got.coeffs == sum_of_products_by_definition([(as_row(c), p) for c, p in pairs])
+
+
+@given(many_terms, kernel_rows)
+def test_sum_of_products_cancels_over_several_windows(a, b):
+    pa, pb = IntPoly(a), IntPoly(b)
+    assert IntPoly.sum_of_products([(pa, pb), (-pa, pb)]).coeffs == ()
+    assert IntPoly.sum_of_products([(pb, pa), (1, pa), (-1, pa), (-pb, pa)]).coeffs == ()
+    # cancel the top of a * b, leaving a lower degree
+    top = IntPoly.monomial(len(a) - 1, a[-1]) if a[-1] else IntPoly.zero()
+    got = IntPoly.sum_of_products([(pa, pb), (-top, pb)])
+    assert got.coeffs == product_by_definition(a[:-1], b)
+
+
+def test_3000_term_square_has_triangle_coefficients():
+    ones = IntPoly([1] * 3000)
+    assert (ones * ones).coeffs == tuple(min(k + 1, 5999 - k) for k in range(5999))
