@@ -17,10 +17,10 @@ results can arbitrate them.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 from itertools import chain, combinations
 from math import comb
 from typing import Iterable
+from weakref import WeakKeyDictionary
 
 from .errors import CapacityError
 from .lattice import LATTICE_VERTEX_BOUND, LatticeDiagram
@@ -32,8 +32,10 @@ CENSUS_JOIN_BOUND = 1_000_000
 GENERIC_GRAPH_BOUND = 30
 GENERIC_DIM_BOUND = 3
 
+# _scan's table per diagram, dropped with the diagram; diagrams hash by identity
+_TABLES: WeakKeyDictionary[LatticeDiagram, list[dict[int, int]]] = WeakKeyDictionary()
 
-@lru_cache(maxsize=64)
+
 def _scan(diagram: LatticeDiagram) -> list[dict[int, int]]:
     """Every Boolean interval of the diagram: per bottom a, {top: dimension}.
 
@@ -43,8 +45,11 @@ def _scan(diagram: LatticeDiagram) -> list[dict[int, int]]:
     element of any up-set intersection is its lowest set bit; a join then
     costs one mask AND, and it is the least upper bound exactly when the
     intersection equals that element's own up-set.  Both bounds are checked
-    before any mask is built.
+    before any mask is built.  The table is kept for as long as the diagram
+    lives, so the cube and maximal-cube censuses scan it once.
     """
+    if diagram in _TABLES:
+        return _TABLES[diagram]
     n = len(diagram)
     if n > CENSUS_VERTEX_BOUND:
         raise CapacityError(f"cube census supports at most {CENSUS_VERTEX_BOUND} vertices")
@@ -86,6 +91,7 @@ def _scan(diagram: LatticeDiagram) -> list[dict[int, int]]:
             if j in found:
                 raise ValueError("two cover subsets span one Boolean interval")
             found[j] = k
+    _TABLES[diagram] = tops
     return tops
 
 

@@ -1,8 +1,10 @@
 """Hasse diagrams of finite distributive lattices.
 
 A diagram is a digraph on ranked vertices: arc (u, v) means u covers v, so
-arcs point from covering element down to covered element.  Filter lattices
-are built from posets; convex expansion duplicates a cutting interval.
+arcs point from covering element down to covered element.  A diagram stores
+one adjacency, the vertices covering each vertex; the reverse lists, the arc
+set and the order masks are derived from it.  Filter lattices are built from
+posets; convex expansion duplicates a cutting interval.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from .errors import CapacityError
-from .poset import FilterSet, Poset
+from .poset import Poset
 
 LATTICE_VERTEX_BOUND = 200_000
 ISO_VERTEX_BOUND = 200
@@ -26,42 +28,48 @@ class Interval:
     top: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatticeDiagram:
     """Hasse diagram of a graded lattice with unique minimum and maximum.
 
-    ``vertices`` holds one payload per vertex: a :class:`FilterSet` for
-    filter-built diagrams, or an opaque string id for expansion-built ones.
-    Construction validates that each arc drops rank by exactly one, that the
-    rank-0 vertex and the top-rank vertex are unique, and that every other
-    vertex covers and is covered by something, which together make every
-    maximal chain run from the maximum to the minimum with the same length.
+    ``up_adj[v]`` lists the vertices covering v; construction stores each
+    list in ascending order.  ``vertices`` holds one payload per vertex: a
+    filter's bitmask over ``elements``, the source poset's element tuple,
+    for filter-built diagrams; an opaque string id, with ``elements`` None,
+    for expansion-built ones.  Construction validates that each cover is in
+    range, listed once and drops rank by exactly one, that the rank-0
+    vertex and the top-rank vertex are unique, and that every other vertex
+    covers and is covered by something, which together make every maximal
+    chain run from the maximum to the minimum with the same length.
+    Diagrams compare and hash by identity, so per-diagram tables can be
+    keyed on them.
     """
 
     vertices: tuple
-    arcs: frozenset[tuple[int, int]]
+    up_adj: tuple[tuple[int, ...], ...]
     ranks: tuple[int, ...]
-    n_source: int | None = None
+    elements: tuple[int, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "arcs", frozenset(self.arcs))
+        object.__setattr__(self, "up_adj", tuple(tuple(sorted(ups)) for ups in self.up_adj))
         object.__setattr__(self, "ranks", tuple(self.ranks))
         n = len(self.vertices)
         if n == 0:
             raise ValueError("a lattice diagram needs at least one vertex")
-        if len(self.ranks) != n:
-            raise ValueError("ranks and vertices disagree in length")
+        if len(self.ranks) != n or len(self.up_adj) != n:
+            raise ValueError("ranks, covers and vertices disagree in length")
         height = max(self.ranks)
         has_out = [False] * n
-        has_in = [False] * n
-        for u, v in self.arcs:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"arc ({u}, {v}) out of range")
-            if self.ranks[u] != self.ranks[v] + 1:
-                raise ValueError(f"arc ({u}, {v}) does not drop rank by one")
-            has_out[u] = True
-            has_in[v] = True
+        for v, ups in enumerate(self.up_adj):
+            for u in ups:
+                if not 0 <= u < n:
+                    raise ValueError(f"arc ({u}, {v}) out of range")
+                if self.ranks[u] != self.ranks[v] + 1:
+                    raise ValueError(f"arc ({u}, {v}) does not drop rank by one")
+                has_out[u] = True
+            if len(set(ups)) != len(ups):
+                raise ValueError(f"vertex {v} lists a cover more than once")
         if sum(1 for r in self.ranks if r == 0) != 1:
             raise ValueError("minimum is not unique")
         if sum(1 for r in self.ranks if r == height) != 1:
@@ -69,7 +77,7 @@ class LatticeDiagram:
         for v in range(n):
             if self.ranks[v] > 0 and not has_out[v]:
                 raise ValueError(f"vertex {v} has positive rank but covers nothing")
-            if self.ranks[v] < height and not has_in[v]:
+            if self.ranks[v] < height and not self.up_adj[v]:
                 raise ValueError(f"vertex {v} below the top is covered by nothing")
 
     # -- derived structure --------------------------------------------------
@@ -90,20 +98,18 @@ class LatticeDiagram:
         return self.ranks.index(self.height)
 
     @cached_property
-    def up_adj(self) -> tuple[tuple[int, ...], ...]:
-        """Per vertex, the vertices covering it (its in-neighbours), ascending."""
-        out: list[list[int]] = [[] for _ in self.vertices]
-        for u, v in self.arcs:
-            out[v].append(u)
-        return tuple(tuple(sorted(l)) for l in out)
+    def down_adj(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, the vertices it covers, ascending."""
+        out: list[list[int]] = [[] for _ in self.up_adj]
+        for v, ups in enumerate(self.up_adj):
+            for u in ups:
+                out[u].append(v)
+        return tuple(map(tuple, out))
 
     @cached_property
-    def down_adj(self) -> tuple[tuple[int, ...], ...]:
-        """Per vertex, the vertices it covers (its out-neighbours), ascending."""
-        out: list[list[int]] = [[] for _ in self.vertices]
-        for u, v in self.arcs:
-            out[u].append(v)
-        return tuple(tuple(sorted(l)) for l in out)
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        """Every cover pair (u, v), u covering v."""
+        return frozenset((u, v) for v, ups in enumerate(self.up_adj) for u in ups)
 
     @cached_property
     def up_masks(self) -> tuple[int, ...]:
@@ -132,22 +138,15 @@ class LatticeDiagram:
         """True iff u <= v in the lattice order."""
         return bool(self.up_masks[u] >> v & 1)
 
-    @cached_property
-    def _filter_index(self) -> dict[frozenset[int], int]:
-        index = {}
-        for i, payload in enumerate(self.vertices):
-            if isinstance(payload, FilterSet):
-                index[payload.members] = i
-        return index
-
     def find_filter(self, members) -> int:
         """Vertex index of the filter with the given members (filter-built only)."""
-        if not self._filter_index:
+        if self.elements is None:
             raise ValueError("diagram has no filter payloads")
         key = frozenset(members)
-        if key not in self._filter_index:
-            raise KeyError(key)
-        return self._filter_index[key]
+        mask = sum(1 << i for i, e in enumerate(self.elements) if e in key)
+        if mask.bit_count() == len(key) and mask in self.vertices:
+            return self.vertices.index(mask)
+        raise KeyError(key)
 
     def interval_mask(self, interval: Interval) -> int:
         """Bitmask of the vertices between the interval's bottom and top."""
@@ -164,24 +163,25 @@ def filter_lattice(poset: Poset, max_vertices: int = LATTICE_VERTEX_BOUND) -> La
 
     Vertices keep the canonical filter order.  rank(Y) = |P| - |Y|, so the
     full ground set is the minimum and the empty filter the maximum; u covers
-    v exactly when v's filter is u's filter plus one element.
+    v exactly when v's filter is u's filter plus one element.  Each vertex
+    is its filter's bitmask over ``poset.elements``.
     """
     fs = poset.filters(limit=max_vertices)
-    index = {f.mask: i for i, f in enumerate(fs)}
-    n = len(poset)
+    index = {f: i for i, f in enumerate(fs)}
     strict_down = poset._strict_down
-    arcs = []
-    for i, f in enumerate(fs):
-        m = f.mask
+    up_adj = []
+    for f in fs:
+        ups = []
+        m = f
         while m:
             low = m & -m
-            e = low.bit_length() - 1
             m ^= low
-            # removing a minimal element of the filter yields the covering filter
-            if not (strict_down[e] & f.mask):
-                arcs.append((index[f.mask & ~low], i))
-    ranks = tuple(n - f.size for f in fs)
-    return LatticeDiagram(tuple(fs), frozenset(arcs), ranks, n_source=n)
+            # removing a minimal element of the filter yields a covering filter
+            if not strict_down[low.bit_length() - 1] & f:
+                ups.append(index[f ^ low])
+        up_adj.append(ups)
+    ranks = tuple(len(poset) - f.bit_count() for f in fs)
+    return LatticeDiagram(tuple(fs), up_adj, ranks, poset.elements)
 
 
 def _diagram_from_order(payloads: Sequence, leq: Callable[[int, int], bool]) -> LatticeDiagram:
@@ -201,7 +201,7 @@ def _diagram_from_order(payloads: Sequence, leq: Callable[[int, int], bool]) -> 
                     raise ValueError("order oracle is not antisymmetric")
                 below[i] |= 1 << j
                 above[j] |= 1 << i
-    covers = []
+    ups: list[list[int]] = [[] for _ in range(m)]
     for i in range(m):
         rest = below[i]
         while rest:
@@ -209,19 +209,17 @@ def _diagram_from_order(payloads: Sequence, leq: Callable[[int, int], bool]) -> 
             j = low.bit_length() - 1
             rest ^= low
             if not (below[i] & above[j]):
-                covers.append((i, j))
-    # rank by longest descending chain, filled in order of down-set size
+                ups[j].append(i)
+    # rank by longest descending chain, pushed up in order of down-set size
     rank = [0] * m
-    down_lists: list[list[int]] = [[] for _ in range(m)]
-    for u, v in covers:
-        down_lists[u].append(v)
-    for i in sorted(range(m), key=lambda v: below[v].bit_count()):
-        rank[i] = max((rank[j] + 1 for j in down_lists[i]), default=0)
+    for v in sorted(range(m), key=lambda v: below[v].bit_count()):
+        for u in ups[v]:
+            rank[u] = max(rank[u], rank[v] + 1)
     order = sorted(range(m), key=lambda v: (rank[v], v))
     newpos = {v: p for p, v in enumerate(order)}
     return LatticeDiagram(
         tuple(payloads[v] for v in order),
-        frozenset((newpos[u], newpos[v]) for u, v in covers),
+        tuple(tuple(newpos[u] for u in ups[v]) for v in order),
         tuple(rank[v] for v in order),
     )
 
@@ -233,11 +231,11 @@ def interval_diagram(host: LatticeDiagram, interval: Interval) -> LatticeDiagram
     members.sort(key=lambda v: (host.ranks[v], v))
     pos = {v: i for i, v in enumerate(members)}
     base = host.ranks[interval.bottom]
-    arcs = [(pos[u], pos[v]) for u, v in host.arcs if u in pos and v in pos]
     return LatticeDiagram(
         tuple(host.vertices[v] for v in members),
-        frozenset(arcs),
+        tuple(tuple(pos[u] for u in host.up_adj[v] if u in pos) for v in members),
         tuple(host.ranks[v] - base for v in members),
+        host.elements,
     )
 
 
@@ -319,22 +317,22 @@ def deletion_cutting(poset: Poset, x: int) -> tuple[LatticeDiagram, Interval]:
 
 def underlying_graph(diagram: LatticeDiagram) -> tuple[frozenset[int], ...]:
     """Forget arc orientation; neighbour sets indexed by vertex."""
-    adj: list[set[int]] = [set() for _ in diagram.vertices]
-    for u, v in diagram.arcs:
-        adj[u].add(v)
-        adj[v].add(u)
-    return tuple(frozenset(s) for s in adj)
+    return tuple(frozenset(up + down) for up, down in zip(diagram.up_adj, diagram.down_adj))
 
 
 def to_dot(diagram: LatticeDiagram) -> str:
-    """DOT text for the Hasse digraph; node labels are filter bit-strings
-    for filter-built diagrams and payload ids otherwise."""
+    """DOT text for the Hasse digraph; node labels are filter bit-strings,
+    one character per poset element with '1' where present, for
+    filter-built diagrams and payload ids otherwise."""
     lines = ["digraph lattice {"]
+    width = None if diagram.elements is None else len(diagram.elements)
     for i, payload in enumerate(diagram.vertices):
-        label = payload.bitstring() if isinstance(payload, FilterSet) else str(payload)
+        label = str(payload) if width is None else "".join(
+            "1" if payload >> k & 1 else "0" for k in range(width)
+        )
         lines.append(f'  n{i} [label="{label}", rank={diagram.ranks[i]}];')
-    for u, v in sorted(diagram.arcs):
-        lines.append(f"  n{u} -> n{v};")
+    for u, downs in enumerate(diagram.down_adj):
+        lines.extend(f"  n{u} -> n{v};" for v in downs)
     lines.append("}")
     return "\n".join(lines) + "\n"
 

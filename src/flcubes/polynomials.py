@@ -44,12 +44,6 @@ class IntPoly:
     def x(cls) -> "IntPoly":
         return cls((0, 1))
 
-    @classmethod
-    def monomial(cls, power: int, coeff: int = 1) -> "IntPoly":
-        if power < 0:
-            raise ValueError("power must be non-negative")
-        return cls([0] * power + [coeff])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -58,9 +52,6 @@ class IntPoly:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
         return 0
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)

@@ -12,40 +12,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 from .errors import CapacityError
 
 # Filter enumeration is exhaustive; refuse ground sets above this size.
 FILTER_ENUM_BOUND = 32
-
-
-@dataclass(frozen=True)
-class FilterSet:
-    """An upward closed subset of a poset, as a bitmask over its elements."""
-
-    mask: int
-    universe: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return self.mask.bit_count()
-
-    @property
-    def members(self) -> frozenset[int]:
-        return frozenset(e for i, e in enumerate(self.universe) if self.mask >> i & 1)
-
-    def bitstring(self) -> str:
-        """One character per element in ground-set order, '1' where present."""
-        return "".join("1" if self.mask >> i & 1 else "0" for i in range(len(self.universe)))
-
-    def __contains__(self, element: int) -> bool:
-        if element not in self.universe:
-            return False
-        return bool(self.mask >> self.universe.index(element) & 1)
-
-    def __len__(self) -> int:
-        return self.size
 
 
 @dataclass(frozen=True)
@@ -138,11 +109,6 @@ class Poset:
 
     # -- basic queries ------------------------------------------------------
 
-    def le(self, a: int, b: int) -> bool:
-        """True iff a <= b in the order."""
-        pa, pb = self._pos[a], self._pos[b]
-        return pa == pb or bool(self._strict_up[pa] >> pb & 1)
-
     def up_set(self, x: int) -> frozenset[int]:
         """Elements strictly above x."""
         p = self._pos[x]
@@ -153,22 +119,8 @@ class Poset:
         p = self._pos[x]
         return self._labels(self._strict_down[p])
 
-    def maximal_elements(self) -> tuple[int, ...]:
-        return tuple(e for i, e in enumerate(self.elements) if not self._strict_up[i])
-
-    def minimal_elements(self) -> tuple[int, ...]:
-        return tuple(e for i, e in enumerate(self.elements) if not self._strict_down[i])
-
     def _labels(self, mask: int) -> frozenset[int]:
         return frozenset(self.elements[i] for i in range(len(self.elements)) if mask >> i & 1)
-
-    def _mask_of(self, subset: Iterable[int]) -> int:
-        mask = 0
-        for e in subset:
-            if e not in self._pos:
-                raise KeyError(e)
-            mask |= 1 << self._pos[e]
-        return mask
 
     # -- constructions -------------------------------------------------------
 
@@ -214,31 +166,15 @@ class Poset:
 
     # -- filters ---------------------------------------------------------------
 
-    def is_filter(self, subset) -> bool:
-        """True iff the subset is upward closed."""
-        if isinstance(subset, FilterSet):
-            if subset.universe != self.elements:
-                raise ValueError("filter belongs to a different poset")
-            mask = subset.mask
-        else:
-            mask = self._mask_of(subset)
-        m = mask
-        while m:
-            low = m & -m
-            if self._strict_up[low.bit_length() - 1] & ~mask:
-                return False
-            m ^= low
-        return True
-
-    def filters(self, limit: int | None = None) -> list[FilterSet]:
-        """Every upward closed subset, exactly once, in canonical order.
+    def filters(self, limit: int | None = None) -> list[int]:
+        """The bitmask of every filter, exactly once, in canonical order.
 
         The canonical order is by cardinality, then ascending bitmask.  With
         a limit, more than ``limit`` filters raise :class:`CapacityError`.
         """
         masks = self.filter_masks(limit)
         masks.sort(key=lambda m: (m.bit_count(), m))
-        return [FilterSet(m, self.elements) for m in masks]
+        return masks
 
     def filter_masks(self, limit: int | None = None) -> list[int]:
         """The bitmask of every filter, exactly once, in no fixed order.

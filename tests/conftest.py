@@ -3,9 +3,28 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
+from flcubes.lattice import LatticeDiagram
 from flcubes.poset import Poset
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+
+def lattice_from_covers(ranks, covers) -> LatticeDiagram:
+    """A diagram on vertices 0..len(ranks)-1 from (upper, lower) cover pairs."""
+    up_adj = [[] for _ in ranks]
+    for u, v in covers:
+        up_adj[v].append(u)
+    return LatticeDiagram(tuple(range(len(ranks))), up_adj, tuple(ranks))
+
+
+def members(elements, mask: int) -> frozenset[int]:
+    """The elements a filter bitmask holds, bit i standing for elements[i]."""
+    return frozenset(e for i, e in enumerate(elements) if mask >> i & 1)
+
+
+def mask_of(elements, subset) -> int:
+    """The bitmask of a subset of ``elements``, bit i standing for elements[i]."""
+    return sum(1 << i for i, e in enumerate(elements) if e in subset)
 
 
 def reduced_poset(n: int, relations: set[tuple[int, int]]) -> Poset:

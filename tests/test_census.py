@@ -1,8 +1,11 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 
 import golden_tables
-from conftest import posets
+from conftest import lattice_from_covers, posets
 from flcubes import census, tables
 from flcubes.census import (
     cube_polynomial,
@@ -16,7 +19,6 @@ from flcubes.census import (
 )
 from flcubes.errors import CapacityError
 from flcubes.lattice import (
-    LatticeDiagram,
     convex_expansion,
     deletion_cutting,
     filter_lattice,
@@ -76,11 +78,6 @@ def test_cubes_unique():
     d = phi(7)
     cubes = cubes_of(d)
     assert len({(bottom, top) for _, bottom, top in cubes}) == len(cubes)
-
-
-def lattice_from_covers(ranks, covers):
-    """A diagram on vertices 0..len(ranks)-1 from (upper, lower) cover pairs."""
-    return LatticeDiagram(tuple(range(len(ranks))), frozenset(covers), tuple(ranks))
 
 
 # M3: a bottom, three atoms and a top; a lattice, but not distributive
@@ -249,6 +246,43 @@ def test_scan_join_bound():
         maximal_cube_polynomial(lattice)
 
 
+# -- the scan's table, keyed by diagram identity -----------------------------------
+
+
+def test_scan_table_is_shared_per_diagram_and_built_per_twin():
+    d = filter_lattice(sfence(7))
+    assert census._scan(d) is census._scan(d)
+    twin = filter_lattice(sfence(7))
+    assert census._scan(twin) is not census._scan(d)
+    assert census._scan(twin) == census._scan(d)
+
+
+def test_scan_table_goes_with_its_diagram():
+    d = filter_lattice(sfence(7))
+    table = census._scan(d)
+    gone = weakref.ref(d)
+    del d
+    gc.collect()
+    assert gone() is None
+    assert not any(t is table for t in census._TABLES.values())
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: lattice_from_covers(range(20_001), [(i + 1, i) for i in range(20_000)]),
+     CapacityError, "at most 20000 vertices"),
+    (lambda: filter_lattice(Poset(tuple(range(1, 15)), frozenset())),
+     CapacityError, "at most 1000000 joins"),
+    (lambda: BOWTIE, ValueError, "join is not unique"),
+    (lambda: TWO_SUBSETS, ValueError, "two cover subsets span one Boolean interval"),
+], ids=["vertex-bound", "join-bound", "non-lattice", "two-subsets"])
+def test_scan_refusals_store_no_table(build, error, message):
+    lattice = build()
+    for _ in range(2):
+        with pytest.raises(error, match=message):
+            census._scan(lattice)
+    assert lattice not in census._TABLES
+
+
 def test_degree_handshake():
     for n in range(9):
         d = phi(n)
@@ -270,10 +304,8 @@ def test_outdegree_equals_indegree_of_reversed_diagram():
     for n in range(8):
         d = phi(n)
         height = d.height
-        reversed_d = LatticeDiagram(
-            d.vertices,
-            frozenset((v, u) for u, v in d.arcs),
-            tuple(height - r for r in d.ranks),
+        reversed_d = lattice_from_covers(
+            tuple(height - r for r in d.ranks), [(v, u) for u, v in d.arcs]
         )
         assert outdegree_polynomial(d) == indegree_polynomial(reversed_d)
 

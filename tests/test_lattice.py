@@ -1,12 +1,11 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import posets
+from conftest import lattice_from_covers, mask_of, members, posets
 from flcubes.census import rank_polynomial
 from flcubes.errors import CapacityError
 from flcubes.lattice import (
     Interval,
-    LatticeDiagram,
     convex_expansion,
     deletion_cutting,
     filter_lattice,
@@ -46,49 +45,77 @@ def test_phi4_structure():
     d = phi(4)
     assert len(d) == 6
     assert rank_polynomial(d) == IntPoly([1, 1, 1, 2, 1])
-    assert d.n_source == 4
+    assert len(d.elements) == 4
     # minimum is the full ground set, maximum the empty filter
-    assert d.vertices[d.bottom].members == {1, 2, 3, 4}
-    assert d.vertices[d.top].members == set()
+    assert members(d.elements, d.vertices[d.bottom]) == {1, 2, 3, 4}
+    assert members(d.elements, d.vertices[d.top]) == set()
 
 
 def test_arcs_are_single_element_differences():
     d = phi(6)
     for u, v in d.arcs:
-        small = d.vertices[u].members
-        large = d.vertices[v].members
-        assert small < large and len(large - small) == 1
+        small, large = d.vertices[u], d.vertices[v]
+        assert small & ~large == 0 and (large ^ small).bit_count() == 1
         assert d.ranks[u] == d.ranks[v] + 1
 
 
-def sorted_arc_adjacency(d):
-    """up_adj and down_adj built by walking the whole arc set in sorted order."""
-    up = [[] for _ in d.vertices]
-    down = [[] for _ in d.vertices]
-    for u, v in sorted(d.arcs):
-        up[v].append(u)
-        down[u].append(v)
-    return tuple(map(tuple, up)), tuple(map(tuple, down))
+# -- the stored covers against the definition ----------------------------------
 
 
-def assert_adjacency_matches_sorted_arcs(d):
-    assert (d.up_adj, d.down_adj) == sorted_arc_adjacency(d)
+def definition_covers(filters):
+    """Every (upper, lower) pair of the given filter masks that differ by
+    exactly one element, found by comparing all pairs."""
+    return {(a, b) for a in filters for b in filters if a & ~b == 0 and (a ^ b).bit_count() == 1}
+
+
+def definition_filters(p):
+    """The bitmask of every upward closed subset of ``p``, by testing every subset."""
+    above = [mask_of(p.elements, p.up_set(e)) for e in p.elements]
+    return {
+        s for s in range(1 << len(p))
+        if all(not above[i] & ~s for i in range(len(p)) if s >> i & 1)
+    }
+
+
+def diagram_covers(d):
+    """The cover pairs of a diagram, as payloads, from both adjacency lists."""
+    up = {(d.vertices[u], d.vertices[v]) for v, ups in enumerate(d.up_adj) for u in ups}
+    down = {(d.vertices[u], d.vertices[v]) for u, downs in enumerate(d.down_adj) for v in downs}
+    assert up == down and len(up) == len(d.arcs) == sum(map(len, d.up_adj))
+    return up
+
+
+def assert_matches_definition(p):
+    filters = definition_filters(p)
+    d = filter_lattice(p)
+    assert d.elements == p.elements
+    assert sorted(d.vertices) == sorted(filters)
+    assert d.ranks == tuple(len(p) - f.bit_count() for f in d.vertices)
+    assert diagram_covers(d) == definition_covers(filters)
+    if not p.elements:
+        return
+    # the cutting of P - x as a standalone diagram: the filters W of P - x
+    # between its bottom and top, with the covers among them
+    x = p.elements[-1]
+    host, interval = deletion_cutting(p, x)
+    part = interval_diagram(host, interval)
+    lo, hi = host.vertices[interval.bottom], host.vertices[interval.top]
+    inside = {w for w in definition_filters(p.remove(x)) if hi & ~w == 0 and w & ~lo == 0}
+    assert part.elements == host.elements
+    assert sorted(part.vertices) == sorted(inside)
+    assert diagram_covers(part) == definition_covers(inside)
 
 
 @given(posets(max_size=7))
 @settings(max_examples=60, deadline=None)
-def test_adjacency_matches_sorted_arcs_on_random_posets(p):
-    assert_adjacency_matches_sorted_arcs(filter_lattice(p))
-    for x in p.elements[:2]:
-        assert_adjacency_matches_sorted_arcs(convex_expansion(*deletion_cutting(p, x)))
+def test_filter_lattice_matches_definition_on_random_posets(p):
+    assert_matches_definition(p)
 
 
-def test_adjacency_matches_sorted_arcs_on_expansions():
-    for n in (5, 6, 7, 8):
-        host, interval = deletion_cutting(sfence(n), n)
-        assert_adjacency_matches_sorted_arcs(host)
-        assert_adjacency_matches_sorted_arcs(convex_expansion(host, interval))
-        assert_adjacency_matches_sorted_arcs(interval_diagram(host, interval))
+def test_filter_lattice_matches_definition_on_fences():
+    for build in (fence, sfence, lambda n: fence(n).dual()):
+        for n in range(10):
+            assert_matches_definition(build(n))
 
 
 def test_leq_and_masks():
@@ -102,7 +129,7 @@ def test_leq_and_masks():
 def test_find_filter():
     d = phi(5)
     i = d.find_filter({1, 4})
-    assert d.vertices[i].members == {1, 4}
+    assert members(d.elements, d.vertices[i]) == {1, 4}
     with pytest.raises(KeyError):
         d.find_filter({2})
 
@@ -114,13 +141,15 @@ def test_filter_lattice_capacity():
 
 def test_diagram_validation():
     with pytest.raises(ValueError):
-        LatticeDiagram((), frozenset(), ())
+        lattice_from_covers((), [])
     with pytest.raises(ValueError):
         # two minima
-        LatticeDiagram(("a", "b"), frozenset(), (0, 0))
+        lattice_from_covers((0, 0), [])
     with pytest.raises(ValueError):
         # arc must drop rank by one
-        LatticeDiagram(("a", "b", "c"), {(2, 0), (1, 0), (2, 1)}, (0, 1, 2))
+        lattice_from_covers((0, 1, 2), [(2, 0), (1, 0), (2, 1)])
+    with pytest.raises(ValueError, match="lists a cover more than once"):
+        lattice_from_covers((0, 1), [(1, 0), (1, 0)])
 
 
 # -- intervals and cuttings --------------------------------------------------
@@ -251,9 +280,7 @@ def test_underlying_graph_phi6_counts():
 
 
 def test_phi3_is_a_four_chain():
-    four_chain = LatticeDiagram(
-        ("a", "b", "c", "d"), {(1, 0), (2, 1), (3, 2)}, (0, 1, 2, 3)
-    )
+    four_chain = lattice_from_covers((0, 1, 2, 3), [(1, 0), (2, 1), (3, 2)])
     assert iso_check(phi(3), four_chain)
 
 

@@ -60,7 +60,7 @@ def sum_of_products_by_definition(pairs):
 def test_trailing_zeros_trimmed():
     assert IntPoly([1, 2, 0, 0]).coeffs == (1, 2)
     assert IntPoly([0, 0]).coeffs == ()
-    assert IntPoly([0, 0]).is_zero()
+    assert not IntPoly([0, 0])
 
 
 @pytest.mark.parametrize(
@@ -119,9 +119,9 @@ def test_immutability():
         p.coeffs = (2,)
 
 
-def test_monomial_rejects_negative_power():
+def test_shift_rejects_negative_power():
     with pytest.raises(ValueError):
-        IntPoly.monomial(-1)
+        IntPoly.one().shift(-1)
 
 
 @given(coeff_lists, coeff_lists, coeff_lists)
@@ -302,7 +302,7 @@ def test_sum_of_products_cancels_over_several_windows(a, b):
     assert IntPoly.sum_of_products([(pa, pb), (-pa, pb)]).coeffs == ()
     assert IntPoly.sum_of_products([(pb, pa), (1, pa), (-1, pa), (-pb, pa)]).coeffs == ()
     # cancel the top of a * b, leaving a lower degree
-    top = IntPoly.monomial(len(a) - 1, a[-1]) if a[-1] else IntPoly.zero()
+    top = IntPoly([a[-1]]).shift(len(a) - 1)
     got = IntPoly.sum_of_products([(pa, pb), (-top, pb)])
     assert got.coeffs == product_by_definition(a[:-1], b)
 

@@ -3,11 +3,11 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from conftest import posets
+from conftest import mask_of, members, posets
 from flcubes.errors import CapacityError
 from flcubes.formulas import fib
+from flcubes.lattice import filter_lattice, to_dot
 from flcubes.poset import (
-    FilterSet,
     Poset,
     fence,
     poset_from_text,
@@ -49,13 +49,13 @@ def test_constructor_rejects_cycles_and_redundancy():
 
 def test_order_queries():
     p = sfence(5)
-    assert p.le(3, 1)
-    assert p.le(2, 4)
-    assert not p.le(1, 4)
+    assert 1 in p.up_set(3) and 3 in p.down_set(1)
+    assert 4 in p.up_set(2) and 2 in p.down_set(4)
+    assert 4 not in p.up_set(1) and 1 not in p.down_set(4)
     assert p.up_set(3) == {1, 2, 4}
     assert p.down_set(3) == set()
-    assert set(p.maximal_elements()) == {1, 4}
-    assert set(p.minimal_elements()) == {3, 5}
+    assert {e for e in p.elements if not p.up_set(e)} == {1, 4}
+    assert {e for e in p.elements if not p.down_set(e)} == {3, 5}
 
 
 # -- dual ----------------------------------------------------------------------
@@ -120,29 +120,33 @@ def test_removals_yield_valid_posets(p):
 # -- filters -------------------------------------------------------------------
 
 
+def is_filter(p, subset):
+    return mask_of(p.elements, subset) in p.filter_masks()
+
+
+def is_upward_closed(p, subset):
+    return all(p.up_set(x) <= subset for x in subset)
+
+
 def test_is_filter_examples():
     p3 = sfence(3)
-    assert not p3.is_filter({2})
-    assert p3.is_filter(set())
-    assert sfence(5).is_filter({1, 4})
-    assert fence(4).is_filter({2, 4, 3})
-    assert not fence(4).is_filter({3})
-
-
-def test_is_filter_rejects_foreign_elements():
-    with pytest.raises(KeyError):
-        sfence(3).is_filter({7})
+    assert not is_filter(p3, {2})
+    assert is_filter(p3, set())
+    assert is_filter(sfence(5), {1, 4})
+    assert is_filter(fence(4), {2, 4, 3})
+    assert not is_filter(fence(4), {3})
 
 
 def test_filters_of_empty_poset():
     fs = sfence(0).filters()
     assert len(fs) == 1
-    assert fs[0].members == frozenset()
-    assert fs[0].bitstring() == ""
+    assert members((), fs[0]) == frozenset()
+    assert '[label=""' in to_dot(filter_lattice(sfence(0)))
 
 
 def test_filters_of_chain():
-    got = [f.members for f in sfence(3).filters()]
+    p = sfence(3)
+    got = [members(p.elements, f) for f in p.filters()]
     assert got == [
         frozenset(),
         frozenset({1}),
@@ -166,7 +170,7 @@ def test_fence_filter_counts():
 
 def test_canonical_order_is_cardinality_then_mask():
     fs = sfence(6).filters()
-    keys = [(f.size, f.mask) for f in fs]
+    keys = [(f.bit_count(), f) for f in fs]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
 
@@ -202,11 +206,11 @@ def test_count_filters_refuses_a_long_chain_without_recursing():
 @given(posets())
 @settings(max_examples=60)
 def test_enumeration_agrees_with_brute_force(p):
-    fs = {f.members for f in p.filters()}
+    fs = {members(p.elements, f) for f in p.filters()}
     brute = set()
     for r in range(len(p) + 1):
         for combo in combinations(p.elements, r):
-            if p.is_filter(set(combo)):
+            if is_upward_closed(p, set(combo)):
                 brute.add(frozenset(combo))
     assert fs == brute
     assert len(fs) == p.count_filters()
@@ -216,7 +220,7 @@ def test_enumeration_agrees_with_brute_force(p):
 @settings(max_examples=60)
 def test_every_enumerated_set_is_a_filter(p):
     for f in p.filters():
-        assert p.is_filter(f)
+        assert is_upward_closed(p, members(p.elements, f))
 
 
 @given(posets(max_size=7))
@@ -227,18 +231,6 @@ def test_deletion_splits_filter_counts(p):
             p.count_filters()
             == p.remove(x).count_filters() + p.star_remove(x).count_filters()
         )
-
-
-# -- FilterSet ---------------------------------------------------------------
-
-
-def test_filterset_accessors():
-    f = FilterSet(0b1011, (1, 2, 3, 4))
-    assert f.size == 3
-    assert len(f) == 3
-    assert f.members == {1, 2, 4}
-    assert f.bitstring() == "1101"
-    assert 2 in f and 3 not in f and 9 not in f
 
 
 # -- text format ----------------------------------------------------------------
