@@ -23,7 +23,7 @@ from typing import Iterable
 from weakref import WeakKeyDictionary
 
 from .errors import CapacityError
-from .lattice import LATTICE_VERTEX_BOUND, LatticeDiagram
+from .lattice import LatticeDiagram
 from .polynomials import IntPoly
 from .poset import Poset
 
@@ -173,7 +173,7 @@ def poset_census(poset: Poset) -> dict[str, IntPoly]:
     above = _union_table(poset._strict_up)
     below = _union_table(poset._strict_down)
     kinds: Counter[tuple[int, int, int, bool]] = Counter()
-    for f in poset.filter_masks(LATTICE_VERTEX_BOUND):
+    for f in poset.filter_masks():
         rest = full & ~f
         mins = f & ~_union(above, f)
         addable = rest & ~_union(below, rest)

@@ -31,9 +31,6 @@ def _load_poset(path: str) -> Poset:
             return poset_from_text(fh.read())
     except (OSError, ValueError) as exc:
         raise click.UsageError(f"cannot read poset file {path}: {exc}")
-    except CapacityError as exc:
-        click.echo(f"capacity error: {exc}", err=True)
-        sys.exit(3)
 
 
 def _coeff_list(poly: IntPoly) -> list[int]:
@@ -50,7 +47,18 @@ def _emit_rows(rows: list[tuple[int, IntPoly]], fmt: str) -> None:
         click.echo(json.dumps([{"n": n, "coeffs": _coeff_list(p)} for n, p in rows]))
 
 
-@click.group()
+class _Main(click.Group):
+    """Command group that ends any command's :class:`CapacityError` with exit 3."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except CapacityError as exc:
+            click.echo(f"capacity error: {exc}", err=True)
+            ctx.exit(3)
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """S-fence filter lattices and their counting polynomials."""
 
@@ -76,12 +84,7 @@ def table(family: str, from_n: int, to_n: int, method: str, fmt: str, poset_file
         if method != "census":
             raise click.UsageError("--poset-file supports the census method only")
         poset = _load_poset(poset_file)
-        try:
-            poly = poset_census(poset)[family]
-        except CapacityError as exc:
-            click.echo(f"capacity error: {exc}", err=True)
-            sys.exit(3)
-        _emit_rows([(len(poset), poly)], fmt)
+        _emit_rows([(len(poset), poset_census(poset)[family])], fmt)
         return
     if family == "outdegree" and method != "census":
         raise click.UsageError(
@@ -94,15 +97,11 @@ def table(family: str, from_n: int, to_n: int, method: str, fmt: str, poset_file
         raise click.UsageError(
             f"closed form for {family} is defined for n >= {tables.CLOSED_MIN_N[family]}"
         )
-    try:
-        if method == "gf":
-            polys = tables.gf_polys(family, to_n + 1)
-            rows = [(n, polys[n]) for n in range(from_n, to_n + 1)]
-        else:
-            rows = [(n, tables.family_poly(family, n, method)) for n in range(from_n, to_n + 1)]
-    except CapacityError as exc:
-        click.echo(f"capacity error: {exc}", err=True)
-        sys.exit(3)
+    if method == "gf":
+        polys = tables.gf_polys(family, to_n + 1)
+        rows = [(n, polys[n]) for n in range(from_n, to_n + 1)]
+    else:
+        rows = [(n, tables.family_poly(family, n, method)) for n in range(from_n, to_n + 1)]
     _emit_rows(rows, fmt)
 
 
@@ -112,11 +111,7 @@ def verify(max_n: int) -> None:
     """Run every cross-check up to MAX_N and print the report."""
     if max_n < 0:
         raise click.UsageError("MAX_N must be non-negative")
-    try:
-        report = run_verification(max_n)
-    except CapacityError as exc:
-        click.echo(f"capacity error: {exc}", err=True)
-        sys.exit(3)
+    report = run_verification(max_n)
     click.echo(report.render())
     sys.exit(report.exit_code)
 
@@ -139,15 +134,9 @@ def dot(n, poset_file) -> None:
         if n < 0:
             raise click.UsageError("N must be non-negative")
         if n > DOT_MAX_N:
-            click.echo(f"capacity error: dot export is limited to n <= {DOT_MAX_N}", err=True)
-            sys.exit(3)
+            raise CapacityError(f"dot export is limited to n <= {DOT_MAX_N}")
         poset = sfence(n)
-    try:
-        diagram = filter_lattice(poset)
-    except CapacityError as exc:
-        click.echo(f"capacity error: {exc}", err=True)
-        sys.exit(3)
-    click.echo(to_dot(diagram), nl=False)
+    click.echo(to_dot(filter_lattice(poset)), nl=False)
 
 
 @main.command()

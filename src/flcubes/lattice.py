@@ -16,7 +16,6 @@ from typing import Callable, Sequence
 from .errors import CapacityError
 from .poset import Poset
 
-LATTICE_VERTEX_BOUND = 200_000
 ISO_VERTEX_BOUND = 200
 
 
@@ -158,7 +157,7 @@ class LatticeDiagram:
 # -- construction ------------------------------------------------------------
 
 
-def filter_lattice(poset: Poset, max_vertices: int = LATTICE_VERTEX_BOUND) -> LatticeDiagram:
+def filter_lattice(poset: Poset) -> LatticeDiagram:
     """Hasse diagram of all filters of ``poset`` ordered by reverse inclusion.
 
     Vertices keep the canonical filter order.  rank(Y) = |P| - |Y|, so the
@@ -166,7 +165,7 @@ def filter_lattice(poset: Poset, max_vertices: int = LATTICE_VERTEX_BOUND) -> La
     v exactly when v's filter is u's filter plus one element.  Each vertex
     is its filter's bitmask over ``poset.elements``.
     """
-    fs = poset.filters(limit=max_vertices)
+    fs = poset.filters()
     index = {f: i for i, f in enumerate(fs)}
     strict_down = poset._strict_down
     up_adj = []

@@ -16,8 +16,8 @@ class IntPoly:
     """Polynomial over the integers, stored densely by ascending power.
 
     Coefficients are plain Python ints, so arithmetic is exact at any size.
-    Trailing zero coefficients are trimmed; the zero polynomial has an empty
-    coefficient tuple and degree -1.  Instances are immutable.
+    Trailing zero coefficients are trimmed, so the zero polynomial has an
+    empty coefficient tuple.  Instances are immutable.
     """
 
     __slots__ = ("coeffs",)
@@ -39,14 +39,6 @@ class IntPoly:
     @classmethod
     def one(cls) -> "IntPoly":
         return cls((1,))
-
-    @classmethod
-    def x(cls) -> "IntPoly":
-        return cls((0, 1))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     def coeff(self, k: int) -> int:
         if 0 <= k < len(self.coeffs):

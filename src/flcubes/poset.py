@@ -15,8 +15,10 @@ from functools import cached_property
 
 from .errors import CapacityError
 
-# Filter enumeration is exhaustive; refuse ground sets above this size.
+# Filter enumeration is exhaustive; refuse ground sets above this size, and
+# stop once the filters found outnumber the count bound.
 FILTER_ENUM_BOUND = 32
+FILTER_COUNT_BOUND = 200_000
 
 
 @dataclass(frozen=True)
@@ -166,23 +168,23 @@ class Poset:
 
     # -- filters ---------------------------------------------------------------
 
-    def filters(self, limit: int | None = None) -> list[int]:
+    def filters(self) -> list[int]:
         """The bitmask of every filter, exactly once, in canonical order.
 
-        The canonical order is by cardinality, then ascending bitmask.  With
-        a limit, more than ``limit`` filters raise :class:`CapacityError`.
+        The canonical order is by cardinality, then ascending bitmask.
         """
-        masks = self.filter_masks(limit)
+        masks = self.filter_masks()
         masks.sort(key=lambda m: (m.bit_count(), m))
         return masks
 
-    def filter_masks(self, limit: int | None = None) -> list[int]:
+    def filter_masks(self) -> list[int]:
         """The bitmask of every filter, exactly once, in no fixed order.
 
         Elements are decided from the top down: each element is added to
         every filter found so far that already holds all elements above it.
-        The list only grows, so a count past ``limit`` stops the enumeration
-        with :class:`CapacityError` after at most twice that many masks.
+        The list only grows, so a count past ``FILTER_COUNT_BOUND`` stops the
+        enumeration with :class:`CapacityError` after at most twice that many
+        masks.
         """
         if len(self.elements) > FILTER_ENUM_BOUND:
             raise CapacityError(
@@ -195,13 +197,13 @@ class Poset:
         for e in sorted(range(len(self.elements)), key=lambda e: up[e].bit_count()):
             above, bit = up[e], 1 << e
             masks += [m | bit for m in masks if not above & ~m]
-            if limit is not None and len(masks) > limit:
-                raise CapacityError(f"filter count exceeds {limit}")
+            if len(masks) > FILTER_COUNT_BOUND:
+                raise CapacityError(f"filter count exceeds {FILTER_COUNT_BOUND}")
         return masks
 
-    def count_filters(self, limit: int | None = None) -> int:
-        """Number of filters, by :meth:`filter_masks` with the same bound and limit."""
-        return len(self.filter_masks(limit))
+    def count_filters(self) -> int:
+        """Number of filters, by :meth:`filter_masks` with the same bounds."""
+        return len(self.filter_masks())
 
 
 # -- standard posets -------------------------------------------------------

@@ -90,26 +90,15 @@ class VerificationReport:
         )
         return "\n".join(lines)
 
-
-def _scope(lo: int, hi: int) -> str:
-    return f"n={lo}..{hi}" if lo <= hi else "empty range"
-
-
-class _Runner:
-    def __init__(self, max_n: int):
-        self.max_n = max_n
-        self.records: list[CheckRecord] = []
-
     def compare_range(self, name, lo, hi, fa, fb) -> None:
         """Record one check comparing fa(n) to fb(n) over lo..hi."""
+        scope = f"n={lo}..{hi}" if lo <= hi else "empty range"
         for n in range(lo, hi + 1):
             va, vb = fa(n), fb(n)
             if va != vb:
-                self.records.append(
-                    CheckRecord(name, _scope(lo, hi), "fail", f"n={n}: {va} vs {vb}")
-                )
+                self.records.append(CheckRecord(name, scope, "fail", f"n={n}: {va} vs {vb}"))
                 return
-        self.records.append(CheckRecord(name, _scope(lo, hi), "pass"))
+        self.records.append(CheckRecord(name, scope, "pass"))
 
     def check(self, name, scope, ok, detail="") -> None:
         self.records.append(CheckRecord(name, scope, "pass" if ok else "fail", "" if ok else detail))
@@ -118,58 +107,43 @@ class _Runner:
 def run_verification(max_n: int) -> VerificationReport:
     if max_n < 0:
         raise ValueError("max_n must be non-negative")
-    runner = _Runner(max_n)
+    report = VerificationReport(max_n)
     census_hi = min(max_n, tables.CENSUS_MAX_N)
     formula_hi = min(max_n, tables.FORMULA_MAX_N)
 
-    _method_agreement(runner, census_hi, formula_hi)
-    _vertex_counts(runner, census_hi)
-    _identity_suite(runner, census_hi, formula_hi)
-    _gf_exactness(runner)
-    _interleaving(runner, formula_hi)
-    _structural(runner, min(max_n, STRUCTURAL_MAX_N))
-    _conexp_counts(runner, min(max_n, CONEXP_MAX_N))
-    _generic_cubes(runner, min(max_n, GENERIC_CUBE_MAX_N))
-    _erratum_probes(runner, census_hi)
+    _method_agreement(report, census_hi, formula_hi)
+    _vertex_counts(report, census_hi)
+    _identity_suite(report, census_hi, formula_hi)
+    _gf_exactness(report)
+    _interleaving(report, formula_hi)
+    _structural(report, min(max_n, STRUCTURAL_MAX_N))
+    _conexp_counts(report, min(max_n, CONEXP_MAX_N))
+    _generic_cubes(report, min(max_n, GENERIC_CUBE_MAX_N))
+    _erratum_probes(report, census_hi)
 
-    return VerificationReport(max_n, runner.records)
+    return report
 
 
 # -- check groups ---------------------------------------------------------------
 
 
-def _method_agreement(runner: _Runner, census_hi: int, formula_hi: int) -> None:
+def _method_agreement(report: VerificationReport, census_hi: int, formula_hi: int) -> None:
     for family, closed_lo in tables.CLOSED_MIN_N.items():
         gf = tables.gf_polys(family, formula_hi + 1) if formula_hi >= 0 else []
-        runner.compare_range(
-            f"{family}: census vs recurrence",
-            0,
-            census_hi,
-            lambda n, f=family: tables.census_poly(f, n),
-            lambda n, f=family: tables.recurrence_poly(f, n),
-        )
-        runner.compare_range(
-            f"{family}: census vs closed form",
-            closed_lo,
-            census_hi,
-            lambda n, f=family: tables.census_poly(f, n),
-            lambda n, f=family: tables.closed_poly(f, n),
-        )
-        runner.compare_range(
-            f"{family}: recurrence vs generating function",
-            0,
-            formula_hi,
-            lambda n, f=family: tables.recurrence_poly(f, n),
-            lambda n, g=gf: g[n],
-        )
-        runner.compare_range(
-            f"{family}: closed form vs recurrence",
-            closed_lo,
-            formula_hi,
-            lambda n, f=family: tables.closed_poly(f, n),
-            lambda n, f=family: tables.recurrence_poly(f, n),
-        )
-    runner.compare_range(
+        routes = {
+            "census": partial(tables.census_poly, family),
+            "recurrence": partial(tables.recurrence_poly, family),
+            "closed form": partial(tables.closed_poly, family),
+            "generating function": gf.__getitem__,
+        }
+        for a, b, lo, hi in (
+            ("census", "recurrence", 0, census_hi),
+            ("census", "closed form", closed_lo, census_hi),
+            ("recurrence", "generating function", 0, formula_hi),
+            ("closed form", "recurrence", closed_lo, formula_hi),
+        ):
+            report.compare_range(f"{family}: {a} vs {b}", lo, hi, routes[a], routes[b])
+    report.compare_range(
         "outdegree: census total vs vertex count",
         0,
         census_hi,
@@ -178,7 +152,7 @@ def _method_agreement(runner: _Runner, census_hi: int, formula_hi: int) -> None:
     )
     for family, lo in VALIDATED_FROM.items():
         hi = formula_hi if RECURRENCES[family].half is None else formula_hi // 2
-        runner.compare_range(
+        report.compare_range(
             f"{family}: coefficient recurrence vs polynomial recurrence",
             lo,
             hi,
@@ -189,9 +163,9 @@ def _method_agreement(runner: _Runner, census_hi: int, formula_hi: int) -> None:
         )
 
 
-def _vertex_counts(runner: _Runner, census_hi: int) -> None:
+def _vertex_counts(report: VerificationReport, census_hi: int) -> None:
     small = {0: 1, 1: 2, 2: 3}
-    runner.compare_range(
+    report.compare_range(
         "vertex count: filters vs 2*fib",
         0,
         census_hi,
@@ -200,8 +174,8 @@ def _vertex_counts(runner: _Runner, census_hi: int) -> None:
     )
 
 
-def _identity_suite(runner: _Runner, census_hi: int, formula_hi: int) -> None:
-    runner.compare_range(
+def _identity_suite(report: VerificationReport, census_hi: int, formula_hi: int) -> None:
+    report.compare_range(
         "indegree(1+x) equals cube polynomial (recurrence route)",
         0,
         formula_hi,
@@ -210,14 +184,14 @@ def _identity_suite(runner: _Runner, census_hi: int, formula_hi: int) -> None:
     )
     # the native census counts cubes as indegree(1+x), so the cube side is
     # taken from the diagram scan to keep this check from being circular
-    runner.compare_range(
+    report.compare_range(
         "indegree(1+x) equals cube polynomial (census route)",
         0,
         min(census_hi, QD_CENSUS_MAX_N),
         lambda n: tables.census_poly("indegree", n).compose(_ONE_PLUS_X),
         lambda n: tables.diagram_poly("cube", tables.phi_diagram(n)),
     )
-    runner.compare_range(
+    report.compare_range(
         "maximal cubes at x=1 equal Padovan numbers",
         3,
         formula_hi,
@@ -225,21 +199,21 @@ def _identity_suite(runner: _Runner, census_hi: int, formula_hi: int) -> None:
         lambda n: padovan133(n - 2),
     )
     for family in ("rank", "degree", "indegree"):
-        runner.compare_range(
+        report.compare_range(
             f"{family}: closed-form coefficient sum equals 2*fib",
             3,
             formula_hi,
             lambda n, f=family: tables.closed_poly(f, n)(1),
             lambda n: 2 * fib(n),
         )
-    runner.compare_range(
+    report.compare_range(
         "rank generating function at x=1 equals 2*fib",
         3,
         formula_hi,
         lambda n, gf=tables.gf_polys("rank", formula_hi + 1): gf[n](1),
         lambda n: 2 * fib(n),
     )
-    runner.compare_range(
+    report.compare_range(
         "diagonal binomial sums equal Fibonacci numbers",
         0,
         formula_hi,
@@ -248,10 +222,10 @@ def _identity_suite(runner: _Runner, census_hi: int, formula_hi: int) -> None:
     )
 
 
-def _gf_exactness(runner: _Runner) -> None:
+def _gf_exactness(report: VerificationReport) -> None:
     for family, builder in ALL_SERIES.items():
         failure = builder().exactness_failure(GF_EXACTNESS_DEPTH + 1)
-        runner.check(
+        report.check(
             f"{family} generating function: expansion times denominator "
             "reproduces numerator",
             f"y^0..y^{GF_EXACTNESS_DEPTH}",
@@ -260,10 +234,10 @@ def _gf_exactness(runner: _Runner) -> None:
         )
 
 
-def _interleaving(runner: _Runner, formula_hi: int) -> None:
+def _interleaving(report: VerificationReport, formula_hi: int) -> None:
     hi_m = min(INTERLEAVE_MAX_M, formula_hi // 2)
     if hi_m < 0:
-        runner.check("rank series interleaves even and odd series", "empty range", True)
+        report.check("rank series interleaves even and odd series", "empty range", True)
         return
     evens = tables.gf_polys("rank-even", hi_m + 1)
     odds = tables.gf_polys("rank-odd", hi_m + 1)
@@ -271,18 +245,18 @@ def _interleaving(runner: _Runner, formula_hi: int) -> None:
     ok = all(ranks[2 * m] == evens[m] for m in range(hi_m + 1)) and all(
         ranks[2 * m + 1] == odds[m] for m in range(hi_m + 1)
     )
-    runner.check(
+    report.check(
         "rank series interleaves even and odd series", f"m=0..{hi_m}", ok,
         "even or odd slice mismatch",
     )
 
 
-def _expansion_checks(runner: _Runner, tag: str, scope: str, host, interval, expect) -> None:
+def _expansion_checks(report: VerificationReport, tag: str, scope: str, host, interval, expect) -> None:
     """Shared per-expansion battery: counts, rank split, cube identity, iso."""
     part = interval_diagram(host, interval)
     expanded = convex_expansion(host, interval)
     ok = len(expanded) == len(host) + len(part)
-    runner.check(f"{tag}: vertex count is additive", scope, ok, "count mismatch")
+    report.check(f"{tag}: vertex count is additive", scope, ok, "count mismatch")
 
     r_host = rank_polynomial(host)
     r_part = rank_polynomial(part)
@@ -298,7 +272,7 @@ def _expansion_checks(runner: _Runner, tag: str, scope: str, host, interval, exp
         expected = None
         label = "unanchored"
     if expected is not None:
-        runner.check(
+        report.check(
             f"{tag}: rank polynomial obeys the {label} expansion split",
             scope,
             r_exp == expected,
@@ -308,14 +282,14 @@ def _expansion_checks(runner: _Runner, tag: str, scope: str, host, interval, exp
     q_host = cube_polynomial(host)
     q_part = cube_polynomial(part)
     q_exp = cube_polynomial(expanded)
-    runner.check(
+    report.check(
         f"{tag}: cube polynomial gains (1+x) times the cutting's",
         scope,
         q_exp == q_host + _ONE_PLUS_X * q_part,
         f"{q_exp} vs {q_host + _ONE_PLUS_X * q_part}",
     )
 
-    runner.check(
+    report.check(
         f"{tag}: expansion is isomorphic to the direct construction",
         scope,
         iso_check(expanded, expect),
@@ -323,24 +297,24 @@ def _expansion_checks(runner: _Runner, tag: str, scope: str, host, interval, exp
     )
 
 
-def _structural(runner: _Runner, hi: int) -> None:
+def _structural(report: VerificationReport, hi: int) -> None:
     for n in range(5, hi + 1):
         host = filter_lattice(fence(n - 1).dual())
         interval = Interval(host.bottom, host.find_filter({1, 2, 3}))
-        runner.check(
+        report.check(
             "dual-fence split: interval is a cutting",
             f"n={n}",
             is_cutting(host, interval),
             "not a cutting",
         )
-        runner.check(
+        report.check(
             "dual-fence split: cutting matches the short fence lattice",
             f"n={n}",
             iso_check(interval_diagram(host, interval), filter_lattice(fence(n - 4))),
             "cutting is not the expected fence lattice",
         )
         _expansion_checks(
-            runner,
+            report,
             "dual-fence split",
             f"n={n}",
             host,
@@ -349,14 +323,14 @@ def _structural(runner: _Runner, hi: int) -> None:
         )
     for n in range(6, hi + 1):
         host, interval = deletion_cutting(sfence(n), n)
-        runner.check(
+        report.check(
             "last-element split: cutting matches the smaller cube",
             f"n={n}",
             iso_check(interval_diagram(host, interval), tables.phi_diagram(n - 2)),
             "cutting is not the expected smaller cube",
         )
         _expansion_checks(
-            runner,
+            report,
             "last-element split",
             f"n={n}",
             host,
@@ -365,24 +339,24 @@ def _structural(runner: _Runner, hi: int) -> None:
         )
 
 
-def _conexp_counts(runner: _Runner, hi: int) -> None:
+def _conexp_counts(report: VerificationReport, hi: int) -> None:
     for n in range(0, hi + 1):
         for poset in (sfence(n), fence(n)):
             total = poset.count_filters()
             for x in poset.elements:
                 split = poset.remove(x).count_filters() + poset.star_remove(x).count_filters()
                 if split != total:
-                    runner.check(
+                    report.check(
                         "filter counts split under element deletion",
                         f"n<={hi}",
                         False,
                         f"element {x} of a {len(poset)}-element poset: {split} != {total}",
                     )
                     return
-    runner.check("filter counts split under element deletion", f"n<={hi}", True)
+    report.check("filter counts split under element deletion", f"n<={hi}", True)
 
 
-def _generic_cubes(runner: _Runner, hi: int) -> None:
+def _generic_cubes(report: VerificationReport, hi: int) -> None:
     for n in range(0, hi + 1):
         diagram = tables.phi_diagram(n)
         graph = underlying_graph(diagram)
@@ -390,14 +364,14 @@ def _generic_cubes(runner: _Runner, hi: int) -> None:
         for k in range(0, 4):
             got = generic_cube_count(graph, k)
             if got != poly.coeff(k):
-                runner.check(
+                report.check(
                     "subgraph search agrees with interval cube census",
                     f"n<={hi}, k<=3",
                     False,
                     f"n={n}, k={k}: {got} vs {poly.coeff(k)}",
                 )
                 return
-    runner.check("subgraph search agrees with interval cube census", f"n<={hi}, k<=3", True)
+    report.check("subgraph search agrees with interval cube census", f"n<={hi}, k<=3", True)
 
 
 # -- erratum probes -----------------------------------------------------------
@@ -413,7 +387,7 @@ _ERRATA = (
 )
 
 
-def _erratum_probes(runner: _Runner, census_hi: int) -> None:
+def _erratum_probes(report: VerificationReport, census_hi: int) -> None:
     for family, statement in _ERRATA:
         valid_from = VALIDATED_FROM[family]
         probe_ns = range(RECURRENCES[family].stated_from, valid_from)
@@ -438,7 +412,7 @@ def _erratum_probes(runner: _Runner, census_hi: int) -> None:
                 break
         else:
             details.append(f"holds for n={valid_from}..{census_hi}")
-        runner.records.append(
+        report.records.append(
             CheckRecord(
                 f"{family} coefficient recurrence {statement}",
                 f"probe n={','.join(map(str, probe_ns))}",

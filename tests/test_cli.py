@@ -122,12 +122,19 @@ def test_poset_file_header_past_the_enumeration_bound(runner, tmp_path, command)
     assert result.output == (
         "capacity error: filter enumeration supports at most 32 elements, got 1000000000\n"
     )
+    assert result.stdout == ""
     # the same words as when the filter enumeration refuses a 40-element poset
     wide = tmp_path / "antichain40.poset"
     wide.write_text("40\n")
     result = run(runner, *command, "--poset-file", str(wide))
-    assert (result.exit_code, result.output) == (
-        3, "capacity error: filter enumeration supports at most 32 elements, got 40\n"
+    assert (result.exit_code, result.output, result.stdout) == (
+        3, "capacity error: filter enumeration supports at most 32 elements, got 40\n", ""
+    )
+    # an 18-element antichain parses but has 2^18 filters, past the count bound
+    wide.write_text("18\n")
+    result = run(runner, *command, "--poset-file", str(wide))
+    assert (result.exit_code, result.output, result.stdout) == (
+        3, "capacity error: filter count exceeds 200000\n", ""
     )
     # malformed text is still a usage error, whatever the count
     wide.write_text("40\n1 2 3\n")
@@ -191,6 +198,8 @@ def test_dot_phi7_counts(runner):
 def test_dot_capacity(runner):
     result = run(runner, "dot", "15")
     assert result.exit_code == 3
+    assert result.output == "capacity error: dot export is limited to n <= 14\n"
+    assert result.stdout == ""
 
 
 def test_dot_poset_file(runner, tmp_path):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import lattice_from_covers, mask_of, members, posets
+from flcubes import poset as poset_module
 from flcubes.census import rank_polynomial
 from flcubes.errors import CapacityError
 from flcubes.lattice import (
@@ -134,9 +135,10 @@ def test_find_filter():
         d.find_filter({2})
 
 
-def test_filter_lattice_capacity():
+def test_filter_lattice_capacity(monkeypatch):
+    monkeypatch.setattr(poset_module, "FILTER_COUNT_BOUND", 10)
     with pytest.raises(CapacityError):
-        filter_lattice(fence(20), max_vertices=10)
+        filter_lattice(fence(20))
 
 
 def test_diagram_validation():

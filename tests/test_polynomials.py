@@ -82,11 +82,11 @@ def test_constructor_gives_one_tuple_for_any_iterable(cs, expected):
 
 def test_degree_and_coeff():
     p = IntPoly([3, 0, 5])
-    assert p.degree == 2
+    assert len(p.coeffs) - 1 == 2
     assert p.coeff(0) == 3
     assert p.coeff(1) == 0
     assert p.coeff(7) == 0
-    assert IntPoly.zero().degree == -1
+    assert len(IntPoly.zero().coeffs) - 1 == -1
 
 
 def test_arithmetic_basics():

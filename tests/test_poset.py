@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import mask_of, members, posets
+from flcubes import poset as poset_module
+from flcubes.census import poset_census
 from flcubes.errors import CapacityError
 from flcubes.formulas import fib
 from flcubes.lattice import filter_lattice, to_dot
@@ -175,15 +177,31 @@ def test_canonical_order_is_cardinality_then_mask():
     assert len(set(keys)) == len(keys)
 
 
-def test_capacity_bounds():
+def test_capacity_bounds(monkeypatch):
     big = Poset(tuple(range(1, 40)), frozenset())
     with pytest.raises(CapacityError):
         big.filters()
+    monkeypatch.setattr(poset_module, "FILTER_COUNT_BOUND", 10)
     with pytest.raises(CapacityError, match="filter count exceeds 10"):
-        fence(20).count_filters(limit=10)
+        fence(20).count_filters()
     with pytest.raises(CapacityError, match="filter count exceeds 10"):
-        fence(20).filters(limit=10)
-    assert len(fence(20).filters(limit=fib(22))) == fib(22)  # the bound itself is allowed
+        fence(20).filters()
+    monkeypatch.setattr(poset_module, "FILTER_COUNT_BOUND", fib(22))
+    assert len(fence(20).filters()) == fib(22)  # the bound itself is allowed
+
+
+def test_every_filter_entry_point_refuses_past_the_count_bound():
+    # 2^18 = 262 144 filters, more than the 200 000 bound
+    antichain = Poset(tuple(range(1, 19)), frozenset())
+    for enumerate_filters in (
+        antichain.filter_masks,
+        antichain.filters,
+        antichain.count_filters,
+        lambda: filter_lattice(antichain),
+        lambda: poset_census(antichain),
+    ):
+        with pytest.raises(CapacityError, match="^filter count exceeds 200000$"):
+            enumerate_filters()
 
 
 def chain(n):
