@@ -48,7 +48,7 @@ from .lattice import (
     underlying_graph,
 )
 from .polynomials import IntPoly
-from .poset import Poset, fence, poset_from_text, poset_to_text, sfence
+from .poset import Poset, fence, poset_from_text, sfence
 from .verify import VerificationReport, run_verification
 
 __version__ = "0.1.0"

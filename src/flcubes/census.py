@@ -41,35 +41,22 @@ def _scan(diagram: LatticeDiagram) -> list[dict[int, int]]:
 
     ``tops[a]`` holds a itself with dimension 0 and the join j of every
     subset S of a's covers for which [a, j] spans rank |S| and has 2^|S|
-    elements.  Vertices are re-indexed by ascending rank so that the least
-    element of any up-set intersection is its lowest set bit; a join then
-    costs one mask AND, and it is the least upper bound exactly when the
-    intersection equals that element's own up-set.  Both bounds are checked
-    before any mask is built.  The table is kept for as long as the diagram
-    lives, so the cube and maximal-cube censuses scan it once.
+    elements.  The diagram's order masks put vertices in ascending rank, so
+    the least element of any up-set intersection is its lowest set bit; a
+    join then costs one mask AND, and it is the least upper bound exactly
+    when the intersection equals that element's own up-set.  Both bounds are
+    checked before the masks are read.  The table is kept for as long as the
+    diagram lives, so the cube and maximal-cube censuses scan it once.
     """
     if diagram in _TABLES:
         return _TABLES[diagram]
     n = len(diagram)
     if n > CENSUS_VERTEX_BOUND:
         raise CapacityError(f"cube census supports at most {CENSUS_VERTEX_BOUND} vertices")
-    ranks, up_adj, down_adj = diagram.ranks, diagram.up_adj, diagram.down_adj
+    ranks, up_adj = diagram.ranks, diagram.up_adj
     if sum(1 << len(ups) for ups in up_adj) > CENSUS_JOIN_BOUND:
         raise CapacityError(f"cube census supports at most {CENSUS_JOIN_BOUND} joins")
-    order = sorted(range(n), key=lambda v: (ranks[v], v))
-    pos = {v: i for i, v in enumerate(order)}
-    upm = [0] * n  # indexed by vertex, bits in pos space
-    for v in reversed(order):
-        m = 1 << pos[v]
-        for u in up_adj[v]:
-            m |= upm[u]
-        upm[v] = m
-    dnm = [0] * n
-    for v in order:
-        m = 1 << pos[v]
-        for w in down_adj[v]:
-            m |= dnm[w]
-        dnm[v] = m
+    order, upm, dnm = diagram.rank_order, diagram.up_masks, diagram.down_masks
 
     tops: list[dict[int, int]] = []
     for a in range(n):

@@ -67,7 +67,7 @@ def main() -> None:
 @click.argument("family", type=click.Choice(tables.FAMILIES))
 @click.argument("from_n", metavar="FROM", type=int)
 @click.argument("to_n", metavar="TO", type=int)
-@click.argument("method", type=click.Choice(tuple(tables.METHODS)))
+@click.argument("method", type=click.Choice(tables.METHODS))
 @click.argument("fmt", metavar="FORMAT", type=click.Choice(("csv", "json")))
 @click.option(
     "--poset-file",
@@ -86,23 +86,11 @@ def table(family: str, from_n: int, to_n: int, method: str, fmt: str, poset_file
         poset = _load_poset(poset_file)
         _emit_rows([(len(poset), poset_census(poset)[family])], fmt)
         return
-    if family == "outdegree" and method != "census":
-        raise click.UsageError(
-            "the outdegree family has a census method only; no formulas are known"
-        )
-    cap = tables.CENSUS_MAX_N if method == "census" else tables.FORMULA_MAX_N
-    if to_n > cap:
-        raise click.UsageError(f"the {method} method is limited to n <= {cap}")
-    if method == "closed" and from_n < tables.CLOSED_MIN_N.get(family, 0):
-        raise click.UsageError(
-            f"closed form for {family} is defined for n >= {tables.CLOSED_MIN_N[family]}"
-        )
-    if method == "gf":
-        polys = tables.gf_polys(family, to_n + 1)
-        rows = [(n, polys[n]) for n in range(from_n, to_n + 1)]
-    else:
-        rows = [(n, tables.family_poly(family, n, method)) for n in range(from_n, to_n + 1)]
-    _emit_rows(rows, fmt)
+    try:
+        polys = tables.family_rows(family, from_n, to_n, method)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+    _emit_rows(list(zip(range(from_n, to_n + 1), polys)), fmt)
 
 
 @main.command()

@@ -165,14 +165,12 @@ class Recurrence(NamedTuple):
     modulo the period.  ``bases`` are the hard-coded rows 0, 1, ... of the
     polynomial route.  ``seeds`` are the indices whose rows the coefficient
     route takes from the census; it is validated from the next index on.
-    ``stated_from`` is the start the recurrence is stated with, where that
-    start is too low.  Row m of a ``half`` series is the rank row 2m + half.
+    Row m of a ``half`` series is the rank row 2m + half.
     """
 
     steps: tuple[tuple[IntPoly, ...], ...]
     bases: tuple[tuple[int, ...], ...] = ()
     seeds: tuple[int, ...] = ()
-    stated_from: int | None = None
     half: int | None = None
 
 
@@ -188,7 +186,6 @@ RECURRENCES = {
         steps=((_ONE, IntPoly((1, 1))),),
         bases=((1,), (2, 1), (3, 2), (4, 3), (6, 6, 1)),
         seeds=(3, 4),
-        stated_from=4,
     ),
     "maxcube": Recurrence(
         steps=((IntPoly.zero(), _X, _X),),
@@ -199,13 +196,11 @@ RECURRENCES = {
         steps=((_X, _X, IntPoly((0, 1, -1))),),
         bases=((1,), (0, 2), (0, 2, 1), (0, 2, 2), (0, 1, 4, 1), (0, 0, 5, 4, 1)),
         seeds=(3, 4, 5),
-        stated_from=4,
     ),
     "indegree": Recurrence(
         steps=((_ONE, _X),),
         bases=((1,), (1, 1), (1, 2), (1, 3), (1, 4, 1)),
         seeds=(3, 4),
-        stated_from=3,
     ),
     "rank-even": Recurrence(steps=_HALF_INDEX_STEP, seeds=(2, 3), half=0),
     "rank-odd": Recurrence(steps=_HALF_INDEX_STEP, seeds=(0, 1), half=1),

@@ -111,12 +111,20 @@ class LatticeDiagram:
         return frozenset((u, v) for v, ups in enumerate(self.up_adj) for u in ups)
 
     @cached_property
+    def rank_order(self) -> tuple[int, ...]:
+        """The vertices sorted by (rank, index); bit p of an order mask is entry p."""
+        return tuple(sorted(range(len(self.vertices)), key=lambda v: (self.ranks[v], v)))
+
+    @cached_property
     def up_masks(self) -> tuple[int, ...]:
-        """Bitmask of the up-set (reflexive) of each vertex, bit = vertex index."""
-        order = sorted(range(len(self.vertices)), key=lambda v: -self.ranks[v])
+        """Bitmask of the up-set (reflexive) of each vertex, bit p = ``rank_order[p]``.
+
+        The least element of an intersection of up-sets is its lowest set bit.
+        """
         masks = [0] * len(self.vertices)
-        for v in order:
-            m = 1 << v
+        for p in reversed(range(len(masks))):
+            v = self.rank_order[p]
+            m = 1 << p
             for u in self.up_adj[v]:
                 m |= masks[u]
             masks[v] = m
@@ -124,10 +132,9 @@ class LatticeDiagram:
 
     @cached_property
     def down_masks(self) -> tuple[int, ...]:
-        order = sorted(range(len(self.vertices)), key=lambda v: self.ranks[v])
         masks = [0] * len(self.vertices)
-        for v in order:
-            m = 1 << v
+        for p, v in enumerate(self.rank_order):
+            m = 1 << p
             for w in self.down_adj[v]:
                 m |= masks[w]
             masks[v] = m
@@ -135,7 +142,7 @@ class LatticeDiagram:
 
     def leq(self, u: int, v: int) -> bool:
         """True iff u <= v in the lattice order."""
-        return bool(self.up_masks[u] >> v & 1)
+        return not self.up_masks[v] & ~self.up_masks[u]
 
     def find_filter(self, members) -> int:
         """Vertex index of the filter with the given members (filter-built only)."""
@@ -147,11 +154,12 @@ class LatticeDiagram:
             return self.vertices.index(mask)
         raise KeyError(key)
 
-    def interval_mask(self, interval: Interval) -> int:
-        """Bitmask of the vertices between the interval's bottom and top."""
+    def interval_members(self, interval: Interval) -> list[int]:
+        """The vertices between the interval's bottom and top, in ``rank_order``."""
         if not self.leq(interval.bottom, interval.top):
             raise ValueError("interval bottom is not below its top")
-        return self.up_masks[interval.bottom] & self.down_masks[interval.top]
+        mask = self.up_masks[interval.bottom] & self.down_masks[interval.top]
+        return [v for p, v in enumerate(self.rank_order) if mask >> p & 1]
 
 
 # -- construction ------------------------------------------------------------
@@ -225,9 +233,7 @@ def _diagram_from_order(payloads: Sequence, leq: Callable[[int, int], bool]) -> 
 
 def interval_diagram(host: LatticeDiagram, interval: Interval) -> LatticeDiagram:
     """The interval as a standalone diagram, re-ranked from its own bottom."""
-    mask = host.interval_mask(interval)
-    members = [v for v in range(len(host)) if mask >> v & 1]
-    members.sort(key=lambda v: (host.ranks[v], v))
+    members = host.interval_members(interval)
     pos = {v: i for i, v in enumerate(members)}
     base = host.ranks[interval.bottom]
     return LatticeDiagram(
@@ -245,15 +251,15 @@ def is_cutting(host: LatticeDiagram, interval: Interval) -> bool:
     interval is a cutting exactly when no directed top-to-bottom path avoids
     its vertex set.
     """
-    mask = host.interval_mask(interval)
-    if mask >> host.top & 1 or mask >> host.bottom & 1:
+    inside = set(host.interval_members(interval))
+    if host.top in inside or host.bottom in inside:
         return True
     seen = {host.top}
     stack = [host.top]
     while stack:
         u = stack.pop()
         for v in host.down_adj[u]:
-            if mask >> v & 1 or v in seen:
+            if v in inside or v in seen:
                 continue
             if v == host.bottom:
                 return False
@@ -275,8 +281,7 @@ def convex_expansion(host: LatticeDiagram, interval: Interval) -> LatticeDiagram
     """
     if not is_cutting(host, interval):
         raise ValueError("interval is not a cutting; expansion would not be graded")
-    mask = host.interval_mask(interval)
-    members = [v for v in range(len(host)) if mask >> v & 1]
+    members = sorted(host.interval_members(interval))
     n = len(host)
     kbottom = interval.bottom
 

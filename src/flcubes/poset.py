@@ -21,6 +21,11 @@ FILTER_ENUM_BOUND = 32
 FILTER_COUNT_BOUND = 200_000
 
 
+def _too_many_elements(n: int) -> CapacityError:
+    """The refusal of an n-element ground set, from enumeration or parsing alike."""
+    return CapacityError(f"filter enumeration supports at most {FILTER_ENUM_BOUND} elements, got {n}")
+
+
 @dataclass(frozen=True)
 class Poset:
     """Immutable finite poset given by the transitive reduction of its order.
@@ -187,10 +192,7 @@ class Poset:
         masks.
         """
         if len(self.elements) > FILTER_ENUM_BOUND:
-            raise CapacityError(
-                f"filter enumeration supports at most {FILTER_ENUM_BOUND} elements, "
-                f"got {len(self.elements)}"
-            )
+            raise _too_many_elements(len(self.elements))
         up = self._strict_up
         masks = [0]
         # an element has fewer elements strictly above it than anything below it
@@ -272,17 +274,6 @@ def poset_from_text(text: str) -> Poset:
             raise ValueError(f"cover line {ln!r} out of range 1..{n}")
         covers.append((a, b))
     if n > FILTER_ENUM_BOUND:  # refused before n elements are built
-        raise CapacityError(
-            f"filter enumeration supports at most {FILTER_ENUM_BOUND} elements, got {n}"
-        )
+        raise _too_many_elements(n)
     return Poset(tuple(range(1, n + 1)), frozenset(covers))
 
-
-def poset_to_text(poset: Poset) -> str:
-    """Inverse of :func:`poset_from_text`; requires elements labelled 1..n."""
-    n = len(poset)
-    if poset.elements != tuple(range(1, n + 1)):
-        raise ValueError("text format requires elements labelled 1..n")
-    lines = [str(n)]
-    lines.extend(f"{a} {b}" for a, b in sorted(poset.covers))
-    return "\n".join(lines) + "\n"

@@ -57,7 +57,7 @@ def _check_family(family: str) -> None:
 def _formula_family(family: str) -> None:
     _check_family(family)
     if family not in CLOSED_MIN_N:
-        raise ValueError(f"the {family} family has a census method only")
+        raise ValueError(f"the {family} family has a census method only; no formulas are known")
 
 
 @lru_cache(maxsize=None)
@@ -103,16 +103,24 @@ def gf_polys(family: str, count: int) -> list[IntPoly]:
     return genfun.ALL_SERIES[family]().expand(count)
 
 
-METHODS = {
-    "census": census_poly,
-    "recurrence": recurrence_poly,
-    "closed": closed_poly,
-    "gf": lambda family, n: gf_polys(family, n + 1)[n],
-}
+METHODS = ("census", "recurrence", "closed", "gf")
 
 
-def family_poly(family: str, n: int, method: str) -> IntPoly:
-    """One polynomial by any method name: census, recurrence, closed or gf."""
+def family_rows(family: str, lo: int, hi: int, method: str) -> list[IntPoly]:
+    """The polynomials n = lo..hi of ``family`` by a method in ``METHODS``.
+
+    A formula method on a census-only family is refused first, then a range
+    past the method's cap, before any row is built; ``closed_poly`` refuses
+    a row below the family's lowest closed-form n.
+    """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    return METHODS[method](family, n)
+    if method != "census":
+        _formula_family(family)
+    cap = CENSUS_MAX_N if method == "census" else FORMULA_MAX_N
+    if hi > cap:
+        raise ValueError(f"the {method} method is limited to n <= {cap}")
+    if method == "gf":
+        return gf_polys(family, hi + 1)[lo:]
+    poly = {"census": census_poly, "recurrence": recurrence_poly, "closed": closed_poly}[method]
+    return [poly(family, n) for n in range(lo, hi + 1)]

@@ -129,7 +129,7 @@ def run_verification(max_n: int) -> VerificationReport:
 
 def _method_agreement(report: VerificationReport, census_hi: int, formula_hi: int) -> None:
     for family, closed_lo in tables.CLOSED_MIN_N.items():
-        gf = tables.gf_polys(family, formula_hi + 1) if formula_hi >= 0 else []
+        gf = tables.gf_polys(family, formula_hi + 1)
         routes = {
             "census": partial(tables.census_poly, family),
             "recurrence": partial(tables.recurrence_poly, family),
@@ -236,9 +236,6 @@ def _gf_exactness(report: VerificationReport) -> None:
 
 def _interleaving(report: VerificationReport, formula_hi: int) -> None:
     hi_m = min(INTERLEAVE_MAX_M, formula_hi // 2)
-    if hi_m < 0:
-        report.check("rank series interleaves even and odd series", "empty range", True)
-        return
     evens = tables.gf_polys("rank-even", hi_m + 1)
     odds = tables.gf_polys("rank-odd", hi_m + 1)
     ranks = tables.gf_polys("rank", 2 * hi_m + 2)
@@ -377,20 +374,20 @@ def _generic_cubes(report: VerificationReport, hi: int) -> None:
 # -- erratum probes -----------------------------------------------------------
 
 # The three coefficient recurrences whose stated start fails, in report
-# order, as they are stated.  Each probe applies the recurrence's step to
-# census rows, expects the mismatch at every index from the stated start up
-# to the validated one, and confirms the validated range.
+# order, as they are stated and with that start.  Each probe applies the
+# recurrence's step to census rows, expects the mismatch at every index from
+# the stated start up to the validated one, and confirms the validated range.
 _ERRATA = (
-    ("cube", "q(n,k) = q(n-1,k) + q(n-2,k) + q(n-2,k-1)"),
-    ("indegree", "d-(n,k) = d-(n-1,k) + d-(n-2,k-1)"),
-    ("degree", "d(n,k) = d(n-2,k-1) + d(n-1,k-1) - d(n-3,k-2) + d(n-3,k-1)"),
+    ("cube", "q(n,k) = q(n-1,k) + q(n-2,k) + q(n-2,k-1)", 4),
+    ("indegree", "d-(n,k) = d-(n-1,k) + d-(n-2,k-1)", 3),
+    ("degree", "d(n,k) = d(n-2,k-1) + d(n-1,k-1) - d(n-3,k-2) + d(n-3,k-1)", 4),
 )
 
 
 def _erratum_probes(report: VerificationReport, census_hi: int) -> None:
-    for family, statement in _ERRATA:
+    for family, statement, stated_from in _ERRATA:
         valid_from = VALIDATED_FROM[family]
-        probe_ns = range(RECURRENCES[family].stated_from, valid_from)
+        probe_ns = range(stated_from, valid_from)
         if census_hi < max(probe_ns):
             continue
 

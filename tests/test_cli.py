@@ -58,16 +58,40 @@ def test_table_output_is_byte_stable(runner):
     assert a.output.endswith("\n")
 
 
-def test_table_usage_errors(runner):
-    assert run(runner, "table", "rank", "5", "3", "census", "csv").exit_code == 2
-    assert run(runner, "table", "rank", "0", "19", "census", "csv").exit_code == 2
-    assert run(runner, "table", "rank", "0", "41", "gf", "csv").exit_code == 2
-    assert run(runner, "table", "nosuch", "0", "3", "census", "csv").exit_code == 2
-    assert run(runner, "table", "rank", "0", "3", "nosuch", "csv").exit_code == 2
-    assert run(runner, "table", "outdegree", "0", "3", "closed", "csv").exit_code == 2
-    assert run(runner, "table", "maxcube", "0", "5", "closed", "csv").exit_code == 2
-    assert run(runner, "table", "degree", "2", "5", "closed", "csv").exit_code == 2
-    assert run(runner, "table", "rank", "1", "5", "closed", "csv").exit_code == 2
+_CENSUS_ONLY = "the outdegree family has a census method only; no formulas are known"
+_BAD_FAMILY = (
+    "Invalid value for '{rank|cube|maxcube|degree|indegree|outdegree}': 'nosuch' is not one of "
+    "'rank', 'cube', 'maxcube', 'degree', 'indegree', 'outdegree'."
+)
+_BAD_METHOD = (
+    "Invalid value for '{census|recurrence|closed|gf}': 'nosuch' is not one of "
+    "'census', 'recurrence', 'closed', 'gf'."
+)
+# each argument list after "table", with the last line it writes to stderr
+_USAGE_ERRORS = [
+    ("rank 5 3 census csv", "need 0 <= FROM <= TO"),
+    ("rank 0 19 census csv", "the census method is limited to n <= 18"),
+    ("rank 0 41 gf csv", "the gf method is limited to n <= 40"),
+    ("nosuch 0 3 census csv", _BAD_FAMILY),
+    ("rank 0 3 nosuch csv", _BAD_METHOD),
+    ("outdegree 0 3 closed csv", _CENSUS_ONLY),
+    ("outdegree 0 3 recurrence csv", _CENSUS_ONLY),
+    ("outdegree 0 3 gf csv", _CENSUS_ONLY),
+    # the census-only refusal comes before the cap
+    ("outdegree 0 50 closed csv", _CENSUS_ONLY),
+    ("maxcube 0 5 closed csv", "closed form for maxcube is defined for n >= 3"),
+    ("degree 2 5 closed csv", "closed form for degree is defined for n >= 3"),
+    ("rank 1 5 closed csv", "closed form for rank is defined for n >= 2"),
+    ("indegree 1 5 closed csv", "closed form for indegree is defined for n >= 3"),
+]
+
+
+@pytest.mark.parametrize("args, message", _USAGE_ERRORS, ids=[a for a, _ in _USAGE_ERRORS])
+def test_table_usage_errors(runner, args, message):
+    result = run(runner, "table", *args.split())
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.output.splitlines()[-1] == f"Error: {message}"
 
 
 def test_table_outdegree_census_works(runner):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 
@@ -119,6 +121,53 @@ def test_filter_lattice_matches_definition_on_fences():
             assert_matches_definition(build(n))
 
 
+# -- the order masks against the definition --------------------------------------
+
+
+def reachable_up(d, u):
+    """Every vertex reached from u along covering arcs, u included."""
+    seen, stack = {u}, [u]
+    while stack:
+        for w in d.up_adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def assert_masks_match_definition(p):
+    d = filter_lattice(p)
+    vs = range(len(d))
+    # u <= v in reverse inclusion: the filter of v lies inside the filter of u
+    below = [[d.vertices[v] & ~d.vertices[u] == 0 for v in vs] for u in vs]
+    by_rank = sorted(vs, key=lambda v: (d.ranks[v], v))
+    assert d.rank_order == tuple(by_rank)
+    for u in vs:
+        for v in vs:
+            assert d.leq(u, v) == below[u][v]
+            if below[u][v]:
+                between = [w for w in by_rank if below[u][w] and below[w][v]]
+                assert d.interval_members(Interval(u, v)) == between
+    if not p.elements:
+        return
+    expanded = convex_expansion(*deletion_cutting(p, p.elements[-1]))
+    for u in range(len(expanded)):
+        up = reachable_up(expanded, u)
+        assert all(expanded.leq(u, v) == (v in up) for v in range(len(expanded)))
+
+
+@given(posets(max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_order_masks_match_definition_on_random_posets(p):
+    assert_masks_match_definition(p)
+
+
+def test_order_masks_match_definition_on_fences():
+    for build in (fence, sfence):
+        for n in range(10):
+            assert_masks_match_definition(build(n))
+
+
 def test_leq_and_masks():
     d = phi(5)
     assert d.leq(d.bottom, d.top)
@@ -178,17 +227,17 @@ def test_phi5_contains_a_phi3_cutting():
     assert iso_check(part, phi(3))
 
 
-def test_interval_mask_rejects_unordered_pair():
+def test_interval_members_rejects_unordered_pair():
     d = phi(4)
     with pytest.raises(ValueError):
-        d.interval_mask(Interval(d.top, d.bottom))
+        d.interval_members(Interval(d.top, d.bottom))
 
 
 def test_interval_diagram_reranks():
     host, interval = deletion_cutting(sfence(6), 6)
     part = interval_diagram(host, interval)
     assert min(part.ranks) == 0
-    assert len(part) == bin(host.interval_mask(interval)).count("1")
+    assert len(part) == len(host.interval_members(interval))
 
 
 # -- convex expansion ----------------------------------------------------------
@@ -333,3 +382,21 @@ def test_dot_of_expansion_uses_synthetic_ids():
     text = to_dot(convex_expansion(host, interval))
     assert '"L0"' in text and '"K0"' in text
     assert text.count("label=") == 10
+
+
+@pytest.mark.parametrize(
+    "split, digest",
+    [
+        ("dual-fence", "ab8a9377b2882ad0933bded6acb46c5831882bdc15fa3bafdd16acb8b8471b40"),
+        ("last-element", "7b3668ff344601b2250a099eaa1a00023ca0a22345dd8e7f1e4a1b735362e83a"),
+    ],
+)
+def test_dot_of_expansion_is_pinned(split, digest):
+    """The DOT text of each kind of split at n = 7, as verify builds them."""
+    if split == "dual-fence":
+        host = filter_lattice(fence(6).dual())
+        interval = Interval(host.bottom, host.find_filter({1, 2, 3}))
+    else:
+        host, interval = deletion_cutting(sfence(7), 7)
+    text = to_dot(convex_expansion(host, interval))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -13,7 +13,6 @@ from flcubes.poset import (
     Poset,
     fence,
     poset_from_text,
-    poset_to_text,
     sfence,
 )
 
@@ -255,8 +254,7 @@ def test_deletion_splits_filter_counts(p):
 
 
 def test_text_round_trip():
-    p = sfence(6)
-    assert poset_from_text(poset_to_text(p)) == p
+    assert poset_from_text("6\n1 2\n2 3\n4 2\n4 5\n6 5\n") == sfence(6)
 
 
 def test_text_refuses_a_count_past_the_enumeration_bound():
@@ -276,5 +274,3 @@ def test_text_parsing_errors():
         poset_from_text("2\n1 3\n")
     with pytest.raises(ValueError):
         poset_from_text("2\n1 2 3\n")
-    with pytest.raises(ValueError):
-        poset_to_text(Poset((2, 3), frozenset({(2, 3)})))
