@@ -41,10 +41,11 @@ def _scan(diagram: LatticeDiagram) -> list[dict[int, int]]:
 
     ``tops[a]`` holds a itself with dimension 0 and the join j of every
     subset S of a's covers for which [a, j] spans rank |S| and has 2^|S|
-    elements.  The diagram's order masks put vertices in ascending rank, so
-    the least element of any up-set intersection is its lowest set bit; a
-    join then costs one mask AND, and it is the least upper bound exactly
-    when the intersection equals that element's own up-set.  Both bounds are
+    elements.  The diagram's order masks number vertices from the top rank
+    down, so the least element of any up-set intersection is its highest set
+    bit, read by ``bit_length()``; a join then costs one mask AND, and it is
+    the least upper bound exactly when the intersection equals that
+    element's own up-set.  Both bounds are
     checked before the masks are read.  The table is kept for as long as the
     diagram lives, so the cube and maximal-cube censuses scan it once.
     """
@@ -56,7 +57,7 @@ def _scan(diagram: LatticeDiagram) -> list[dict[int, int]]:
     ranks, up_adj = diagram.ranks, diagram.up_adj
     if sum(1 << len(ups) for ups in up_adj) > CENSUS_JOIN_BOUND:
         raise CapacityError(f"cube census supports at most {CENSUS_JOIN_BOUND} joins")
-    order, upm, dnm = diagram.rank_order, diagram.up_masks, diagram.down_masks
+    order, upm, dnm = diagram.rank_order[::-1], diagram.up_masks, diagram.down_masks
 
     tops: list[dict[int, int]] = []
     for a in range(n):
@@ -68,7 +69,7 @@ def _scan(diagram: LatticeDiagram) -> list[dict[int, int]]:
         for smask in range(1, len(joins)):
             low = smask & -smask
             common = upm[joins[smask ^ low]] & upm[ups[low.bit_length() - 1]]
-            j = order[(common & -common).bit_length() - 1]
+            j = order[common.bit_length() - 1]
             if common != upm[j]:  # upm[j] <= common, as common is an up-set
                 raise ValueError("join is not unique; diagram is not a lattice")
             joins[smask] = j

@@ -112,18 +112,19 @@ class LatticeDiagram:
 
     @cached_property
     def rank_order(self) -> tuple[int, ...]:
-        """The vertices sorted by (rank, index); bit p of an order mask is entry p."""
+        """The vertices sorted by (rank, index); bit p of an order mask is entry -1 - p."""
         return tuple(sorted(range(len(self.vertices)), key=lambda v: (self.ranks[v], v)))
 
     @cached_property
     def up_masks(self) -> tuple[int, ...]:
-        """Bitmask of the up-set (reflexive) of each vertex, bit p = ``rank_order[p]``.
+        """Bitmask of the up-set (reflexive) of each vertex, bit p = ``rank_order[-1 - p]``.
 
-        The least element of an intersection of up-sets is its lowest set bit.
+        Bits count down from the top rank, so the least element of an
+        intersection of up-sets is its highest set bit, and a vertex's
+        up-set spans only the bits at or below its own.
         """
         masks = [0] * len(self.vertices)
-        for p in reversed(range(len(masks))):
-            v = self.rank_order[p]
+        for p, v in enumerate(reversed(self.rank_order)):
             m = 1 << p
             for u in self.up_adj[v]:
                 m |= masks[u]
@@ -132,8 +133,9 @@ class LatticeDiagram:
 
     @cached_property
     def down_masks(self) -> tuple[int, ...]:
+        """Bitmask of the down-set (reflexive) of each vertex, numbered as ``up_masks``."""
         masks = [0] * len(self.vertices)
-        for p, v in enumerate(self.rank_order):
+        for p, v in zip(reversed(range(len(masks))), self.rank_order):
             m = 1 << p
             for w in self.down_adj[v]:
                 m |= masks[w]
@@ -159,7 +161,12 @@ class LatticeDiagram:
         if not self.leq(interval.bottom, interval.top):
             raise ValueError("interval bottom is not below its top")
         mask = self.up_masks[interval.bottom] & self.down_masks[interval.top]
-        return [v for p, v in enumerate(self.rank_order) if mask >> p & 1]
+        order, members = self.rank_order, []
+        while mask:  # highest set bit first, so ascending rank_order
+            p = mask.bit_length() - 1
+            members.append(order[-1 - p])
+            mask ^= 1 << p
+        return members
 
 
 # -- construction ------------------------------------------------------------

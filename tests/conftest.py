@@ -17,6 +17,16 @@ def lattice_from_covers(ranks, covers) -> LatticeDiagram:
     return LatticeDiagram(tuple(range(len(ranks))), up_adj, tuple(ranks))
 
 
+# M3: a bottom, three atoms and a top; a lattice, but not distributive
+M3 = lattice_from_covers((0, 1, 1, 1, 2), [(1, 0), (2, 0), (3, 0), (4, 1), (4, 2), (4, 3)])
+
+# bowtie: both atoms lie below both coatoms, so the atoms have no join
+BOWTIE = lattice_from_covers(
+    (0, 1, 1, 2, 2, 3),
+    [(1, 0), (2, 0), (3, 1), (3, 2), (4, 1), (4, 2), (5, 3), (5, 4)],
+)
+
+
 def members(elements, mask: int) -> frozenset[int]:
     """The elements a filter bitmask holds, bit i standing for elements[i]."""
     return frozenset(e for i, e in enumerate(elements) if mask >> i & 1)

@@ -1,11 +1,12 @@
 import gc
+import random
 import weakref
 
 import pytest
 from hypothesis import given, settings
 
 import golden_tables
-from conftest import lattice_from_covers, posets
+from conftest import BOWTIE, M3, lattice_from_covers, posets, reduced_poset
 from flcubes import census, tables
 from flcubes.census import (
     cube_polynomial,
@@ -80,10 +81,6 @@ def test_cubes_unique():
     assert len({(bottom, top) for _, bottom, top in cubes}) == len(cubes)
 
 
-# M3: a bottom, three atoms and a top; a lattice, but not distributive
-M3 = lattice_from_covers((0, 1, 1, 1, 2), [(1, 0), (2, 0), (3, 0), (4, 1), (4, 2), (4, 3)])
-
-
 def test_maximal_cube_vertex_sets_by_exhaustive_containment():
     # definitional cross-check of the facet test; the expansion lists its
     # vertices in ascending rank, the filter lattices in descending rank
@@ -110,18 +107,24 @@ def test_census_on_a_non_distributive_lattice():
     assert maximal_cube_polynomial(M3) == IntPoly([0, 6])
 
 
-# bowtie: both atoms lie below both coatoms, so the atoms have no join
-BOWTIE = lattice_from_covers(
-    (0, 1, 1, 2, 2, 3),
-    [(1, 0), (2, 0), (3, 1), (3, 2), (4, 1), (4, 2), (5, 3), (5, 4)],
-)
-
 # a < s1, s2 < x < j and a < s3, s4 < y < j, as vertices 0..7 in that order:
 # {s1, s2, s3} and {s1, s2, s4} both join to j, and [a, j] has 2^3 elements
 TWO_SUBSETS = lattice_from_covers(
     (0, 1, 1, 1, 1, 2, 2, 3),
     [(1, 0), (2, 0), (3, 0), (4, 0), (5, 1), (5, 2), (6, 3), (6, 4), (7, 5), (7, 6)],
 )
+
+
+def stacked_bowtie(length):
+    """BOWTIE with its bottom on the top of a chain of ``length`` vertices."""
+    shift = length - 1
+    covers = [(i + 1, i) for i in range(shift)]
+    covers += [(u + shift, v + shift) for v, ups in enumerate(BOWTIE.up_adj) for u in ups]
+    return lattice_from_covers(list(range(shift)) + [r + shift for r in BOWTIE.ranks], covers)
+
+
+# the atoms' non-unique join sits past bit 64 of an ascending mask
+STACKED_BOWTIE = stacked_bowtie(120)
 
 
 def test_scan_refuses_a_graded_non_lattice():
@@ -141,7 +144,10 @@ def reference_scan(diagram):
     """The scan as one (bottom, top) -> dimension dict, with the join's
     least-upper-bound check written as "no bit of the intersection outside
     the candidate's up-set"; kept as the slow path the per-bottom table and
-    the equality check are compared with."""
+    the equality check are compared with.  It numbers its own mask bits in
+    ascending rank, the least element being the lowest set bit, on purpose:
+    the diagram's masks count down from the top rank, so the two scans
+    share no numbering."""
     n = len(diagram)
     ranks, up_adj, down_adj = diagram.ranks, diagram.up_adj, diagram.down_adj
     order = sorted(range(n), key=lambda v: (ranks[v], v))
@@ -221,7 +227,26 @@ def test_scan_matches_reference_on_random_posets(p):
     assert_scan_matches_reference(filter_lattice(p))
 
 
-@pytest.mark.parametrize("lattice", [BOWTIE, TWO_SUBSETS], ids=["bowtie", "two-subsets"])
+def random_poset_with_many_filters():
+    rng = random.Random(2)
+    relations = {(a, b) for a in range(2, 15) for b in range(1, a) if rng.random() < 0.1}
+    return reduced_poset(14, relations)
+
+
+@pytest.mark.parametrize("build, size", [
+    (lambda: sfence(16), 1974),
+    (lambda: fence(15).dual(), 1597),
+    (random_poset_with_many_filters, 2880),
+], ids=["sfence-16", "dual-fence-15", "random-14"])
+def test_scan_matches_reference_on_large_diagrams(build, size):
+    # masks of thousands of bits, where the two numberings differ most
+    d = filter_lattice(build())
+    assert len(d) == size
+    assert_scan_matches_reference(d)
+
+
+@pytest.mark.parametrize("lattice", [BOWTIE, TWO_SUBSETS, STACKED_BOWTIE],
+                         ids=["bowtie", "two-subsets", "stacked-bowtie"])
 def test_scan_refuses_what_the_reference_refuses(lattice):
     with pytest.raises(ValueError) as want:
         reference_scan(lattice)
@@ -274,7 +299,8 @@ def test_scan_table_goes_with_its_diagram():
      CapacityError, "at most 1000000 joins"),
     (lambda: BOWTIE, ValueError, "join is not unique"),
     (lambda: TWO_SUBSETS, ValueError, "two cover subsets span one Boolean interval"),
-], ids=["vertex-bound", "join-bound", "non-lattice", "two-subsets"])
+    (lambda: stacked_bowtie(120), ValueError, "join is not unique"),
+], ids=["vertex-bound", "join-bound", "non-lattice", "two-subsets", "stacked-non-lattice"])
 def test_scan_refusals_store_no_table(build, error, message):
     lattice = build()
     for _ in range(2):

@@ -3,7 +3,7 @@ import hashlib
 import pytest
 from hypothesis import given, settings
 
-from conftest import lattice_from_covers, mask_of, members, posets
+from conftest import BOWTIE, M3, lattice_from_covers, mask_of, members, posets
 from flcubes import poset as poset_module
 from flcubes.census import rank_polynomial
 from flcubes.errors import CapacityError
@@ -166,6 +166,31 @@ def test_order_masks_match_definition_on_fences():
     for build in (fence, sfence):
         for n in range(10):
             assert_masks_match_definition(build(n))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: phi(6),
+    lambda: M3,
+    lambda: convex_expansion(*deletion_cutting(sfence(7), 7)),
+    lambda: BOWTIE,
+], ids=["phi-6", "m3", "expansion", "bowtie"])
+def test_highest_bit_of_an_up_set_intersection_is_its_least_element(build):
+    # mask bits count down from the top rank: bit p is rank_order[-1 - p]
+    d = build()
+    vs = range(len(d))
+    ambiguous = 0
+    for u in vs:
+        for v in vs:
+            common = d.up_masks[u] & d.up_masks[v]
+            j = d.rank_order[-common.bit_length()]
+            uppers = [w for w in vs if d.leq(u, w) and d.leq(v, w)]
+            least = [w for w in uppers if all(d.leq(w, x) for x in uppers)]
+            if least:
+                assert least == [j]
+            else:
+                assert common != d.up_masks[j]
+                ambiguous += 1
+    assert (ambiguous > 0) == (d is BOWTIE)
 
 
 def test_leq_and_masks():
