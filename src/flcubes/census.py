@@ -42,12 +42,12 @@ def _scan(diagram: LatticeDiagram) -> list[dict[int, int]]:
     ``tops[a]`` holds a itself with dimension 0 and the join j of every
     subset S of a's covers for which [a, j] spans rank |S| and has 2^|S|
     elements.  The diagram's order masks number vertices from the top rank
-    down, so the least element of any up-set intersection is its highest set
-    bit, read by ``bit_length()``; a join then costs one mask AND, and it is
-    the least upper bound exactly when the intersection equals that
-    element's own up-set.  Both bounds are
-    checked before the masks are read.  The table is kept for as long as the
-    diagram lives, so the cube and maximal-cube censuses scan it once.
+    down, so the least element of any up-set intersection is its highest
+    set bit, read by ``bit_length()``; a join then costs one mask AND, and
+    it is the least upper bound exactly when the intersection equals that
+    element's own up-set.  Both bounds are checked before the masks are
+    read.  The table is kept for as long as the diagram lives, so the cube
+    and maximal-cube censuses scan it once.
     """
     if diagram in _TABLES:
         return _TABLES[diagram]

@@ -161,12 +161,7 @@ class LatticeDiagram:
         if not self.leq(interval.bottom, interval.top):
             raise ValueError("interval bottom is not below its top")
         mask = self.up_masks[interval.bottom] & self.down_masks[interval.top]
-        order, members = self.rank_order, []
-        while mask:  # highest set bit first, so ascending rank_order
-            p = mask.bit_length() - 1
-            members.append(order[-1 - p])
-            mask ^= 1 << p
-        return members
+        return [v for p, v in enumerate(reversed(self.rank_order)) if mask >> p & 1][::-1]
 
 
 # -- construction ------------------------------------------------------------
