@@ -299,7 +299,7 @@ def test_scan_table_goes_with_its_diagram():
      CapacityError, "at most 1000000 joins"),
     (lambda: BOWTIE, ValueError, "join is not unique"),
     (lambda: TWO_SUBSETS, ValueError, "two cover subsets span one Boolean interval"),
-    (lambda: stacked_bowtie(120), ValueError, "join is not unique"),
+    (lambda: STACKED_BOWTIE, ValueError, "join is not unique"),
 ], ids=["vertex-bound", "join-bound", "non-lattice", "two-subsets", "stacked-non-lattice"])
 def test_scan_refusals_store_no_table(build, error, message):
     lattice = build()
