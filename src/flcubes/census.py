@@ -1,13 +1,19 @@
 """Censuses of filter lattices: on a Hasse diagram, and native on a poset.
 
 The diagram censuses are definition-level: everything is counted directly
-from the diagram, vertices per rank, induced hypercubes as Boolean
-intervals, and vertices per degree, indegree and outdegree.  One cached scan
-tables the Boolean intervals per bottom, as {top: dimension}; a cube is
-maximal when no cube one dimension up in that table extends it by a cover
-of its top or below its bottom, which needs no join and no order test.  The
-scan refuses diagrams whose masks (about 2·V² bits) or joins (one per subset
-of each vertex's covers) exceed its bounds.  The poset-native census counts
+from the diagram, vertices per rank, hypercubes as Boolean intervals, and
+vertices per degree, indegree and outdegree.  A k-cube is an interval
+[a, j] isomorphic to the lattice of subsets of a k-set; on a distributive
+lattice these are the induced k-cubes of the Hasse graph, but not in
+general: M3 has cube polynomial 5 + 6x, and its Hasse graph has three
+induced squares.  One cached scan tables the Boolean intervals per bottom,
+as {top: dimension}, with an exact rule: for a set S of covers of a, [a, j]
+with j the join of S is Boolean iff every subset T of S joins to rank
+rank(a) + |T| and [a, j] has 2^|S| elements.  A cube is maximal when no
+cube one dimension up in that table extends it by a cover of its top or
+below its bottom, which needs no join and no order test.  The scan refuses
+diagrams whose masks (about 2·V² bits) or joins (one per subset of each
+vertex's covers) exceed its bounds.  The poset-native census counts
 the same six families from the filters' minimal and addable elements, in one
 linear pass and without building the diagram; the diagram scan is the oracle
 it is tested against.  No closed form or recurrence is consulted, so these
@@ -39,15 +45,25 @@ _TABLES: WeakKeyDictionary[LatticeDiagram, list[dict[int, int]]] = WeakKeyDictio
 def _scan(diagram: LatticeDiagram) -> list[dict[int, int]]:
     """Every Boolean interval of the diagram: per bottom a, {top: dimension}.
 
-    ``tops[a]`` holds a itself with dimension 0 and the join j of every
-    subset S of a's covers for which [a, j] spans rank |S| and has 2^|S|
-    elements.  The diagram's order masks number vertices from the top rank
-    down, so the least element of any up-set intersection is its highest
-    set bit, read by ``bit_length()``; a join then costs one mask AND, and
-    it is the least upper bound exactly when the intersection equals that
-    element's own up-set.  Both bounds are checked before the masks are
-    read.  The table is kept for as long as the diagram lives, so the cube
-    and maximal-cube censuses scan it once.
+    For a set S of covers of a, write j_T for the join of each subset T of
+    S.  Then [a, j_S] is Boolean if and only if rank(j_T) = rank(a) + |T|
+    for every T and [a, j_S] has 2^|S| elements: the ranks make T -> j_T
+    injective (j_T = j_T' would give j_(T u T') = j_T), and the size makes
+    it a bijection onto [a, j_S] and an order isomorphism.  Every Boolean
+    interval [a, j] is [a, j_S] for S its atoms, and every sub-interval of
+    a Boolean interval is Boolean.  So the scan joins all subsets of a's
+    covers and tests S = all of them once, one comparison of the joins'
+    ranks and one interval popcount; when that passes, as it always does
+    on filter lattices, ``tops[a]`` is {j_T: |T|} over all T.  Otherwise
+    the same rule runs per subset T, over the subsets of T.
+
+    The diagram's order masks number vertices from the top rank down, so
+    the least element of any up-set intersection is its highest set bit,
+    read by ``bit_length()``; a join then costs one mask AND, and it is the
+    least upper bound exactly when the intersection equals that element's
+    own up-set, which is checked at every join.  Both bounds are checked
+    before the masks are read.  The table is kept for as long as the
+    diagram lives, so the cube and maximal-cube censuses scan it once.
     """
     if diagram in _TABLES:
         return _TABLES[diagram]
@@ -58,27 +74,42 @@ def _scan(diagram: LatticeDiagram) -> list[dict[int, int]]:
     if sum(1 << len(ups) for ups in up_adj) > CENSUS_JOIN_BOUND:
         raise CapacityError(f"cube census supports at most {CENSUS_JOIN_BOUND} joins")
     order, upm, dnm = diagram.rank_order[::-1], diagram.up_masks, diagram.down_masks
+    sizes: dict[int, list[int]] = {}  # |T| for each subset T of m covers
+    targets: dict[tuple[int, int], list[int]] = {}  # rank(a) + |T|, per (rank(a), m)
 
     tops: list[dict[int, int]] = []
     for a in range(n):
-        found = {a: 0}
-        tops.append(found)
         ups = up_adj[a]
         rank_a, up_a = ranks[a], upm[a]
-        joins = [a] * (1 << len(ups))  # join of each subset of the covers of a
-        for smask in range(1, len(joins)):
-            low = smask & -smask
-            common = upm[joins[smask ^ low]] & upm[ups[low.bit_length() - 1]]
-            j = order[common.bit_length() - 1]
-            if common != upm[j]:  # upm[j] <= common, as common is an up-set
-                raise ValueError("join is not unique; diagram is not a lattice")
-            joins[smask] = j
-            k = smask.bit_count()
-            if ranks[j] - rank_a != k or (up_a & dnm[j]).bit_count() != 1 << k:
-                continue
-            if j in found:
-                raise ValueError("two cover subsets span one Boolean interval")
-            found[j] = k
+        joins = [a]  # joins[t] joins the covers ups[i] for the bits i of t
+        for u in ups:
+            up_u = upm[u]
+            for t in joins[:]:
+                common = upm[t] & up_u
+                j = order[common.bit_length() - 1]
+                if common != upm[j]:  # upm[j] <= common, as common is an up-set
+                    raise ValueError("join is not unique; diagram is not a lattice")
+                joins.append(j)
+        m = len(ups)
+        if m not in sizes:
+            sizes[m] = [t.bit_count() for t in range(1 << m)]
+        size = sizes[m]
+        if (rank_a, m) not in targets:
+            targets[rank_a, m] = [rank_a + k for k in size]
+        target = targets[rank_a, m]
+        if (list(map(ranks.__getitem__, joins)) == target
+                and (up_a & dnm[joins[-1]]).bit_count() == len(joins)):
+            tops.append(dict(zip(joins, size)))
+            continue
+        found = {}
+        graded = [False] * len(joins)  # rank(j_U) = rank(a) + |U| for all U <= T
+        for t, j in enumerate(joins):
+            graded[t] = ranks[j] == target[t] and all(
+                graded[t ^ 1 << i] for i in range(m) if t >> i & 1
+            )
+            if graded[t] and (up_a & dnm[j]).bit_count() == 1 << size[t]:
+                found[j] = size[t]
+        tops.append(found)
     _TABLES[diagram] = tops
     return tops
 
@@ -101,7 +132,13 @@ def rank_polynomial(diagram: LatticeDiagram) -> IntPoly:
 
 
 def cube_polynomial(diagram: LatticeDiagram) -> IntPoly:
-    """Coefficient k counts the induced k-dimensional hypercubes."""
+    """Coefficient k counts the Boolean intervals [a, j] of dimension k.
+
+    An interval is Boolean when it is isomorphic to the subsets of a k-set;
+    see ``_scan`` for the exact rule.  On distributive lattices these are
+    the induced k-cubes of the Hasse graph; M3 has 5 + 6x here but three
+    induced squares.
+    """
     return _histogram(chain.from_iterable(map(dict.values, _scan(diagram))))
 
 
