@@ -1,6 +1,9 @@
 """Closed forms and recurrences for the counting polynomials of S-fence
-filter lattices: Fibonacci and Padovan numbers, trinomial coefficients, and
-per-family coefficient evaluators.
+filter lattices, with Fibonacci and Padovan numbers and trinomial
+coefficients.  The polynomial recurrences step ``IntPoly`` rows from
+hard-coded bases.  The coefficient recurrences are a separate route: it
+reads each recurrence's statement as data and steps plain coefficient lists
+from census rows.  The two share no code, so each checks the other.
 
 Every binomial goes through :func:`binom`, which is zero whenever
 0 <= k <= n fails; several of the closed forms lean on that convention to
@@ -9,11 +12,15 @@ kill out-of-range terms.
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
+import re
+from functools import cache
 from math import comb
+from operator import add, sub
 from typing import NamedTuple
 
+from .census import poset_census
 from .polynomials import IntPoly
+from .poset import sfence
 
 
 def binom(n: int, k: int) -> int:
@@ -151,7 +158,7 @@ def dm_coeff(n: int, k: int) -> int:
     return binom(n - k - 2, k - 1) + binom(n - k, k)
 
 
-# -- recurrences --------------------------------------------------------------------
+# -- polynomial recurrences ----------------------------------------------------------
 
 _ONE = IntPoly.one()
 _X = IntPoly((0, 1))
@@ -162,19 +169,12 @@ class Recurrence(NamedTuple):
     """row(n) = c1 row(n-1) + c2 row(n-2) + ... with polynomial coefficients.
 
     ``steps`` holds the coefficients (c1, c2, ...) once per residue of n
-    modulo the period.  ``bases`` are the hard-coded rows 0, 1, ... of the
-    polynomial route.  ``seeds`` are the indices whose rows the coefficient
-    route takes from the census; it is validated from the next index on.
-    Row m of a ``half`` series is the rank row 2m + half.
+    modulo the period, and ``bases`` the hard-coded rows 0, 1, ....
     """
 
     steps: tuple[tuple[IntPoly, ...], ...]
-    bases: tuple[tuple[int, ...], ...] = ()
-    seeds: tuple[int, ...] = ()
-    half: int | None = None
+    bases: tuple[tuple[int, ...], ...]
 
-
-_HALF_INDEX_STEP = ((IntPoly((1, 1, 1)), -_X2),)
 
 RECURRENCES = {
     # even n: r(n-1) + x^2 r(n-2); odd n: x r(n-1) + r(n-2)
@@ -185,91 +185,105 @@ RECURRENCES = {
     "cube": Recurrence(
         steps=((_ONE, IntPoly((1, 1))),),
         bases=((1,), (2, 1), (3, 2), (4, 3), (6, 6, 1)),
-        seeds=(3, 4),
     ),
     "maxcube": Recurrence(
         steps=((IntPoly.zero(), _X, _X),),
         bases=((1,), (0, 1), (0, 2), (0, 3), (0, 2, 1), (0, 0, 4)),
-        seeds=(3, 4, 5),
     ),
     "degree": Recurrence(
         steps=((_X, _X, IntPoly((0, 1, -1))),),
         bases=((1,), (0, 2), (0, 2, 1), (0, 2, 2), (0, 1, 4, 1), (0, 0, 5, 4, 1)),
-        seeds=(3, 4, 5),
     ),
     "indegree": Recurrence(
         steps=((_ONE, _X),),
         bases=((1,), (1, 1), (1, 2), (1, 3), (1, 4, 1)),
-        seeds=(3, 4),
     ),
-    "rank-even": Recurrence(steps=_HALF_INDEX_STEP, seeds=(2, 3), half=0),
-    "rank-odd": Recurrence(steps=_HALF_INDEX_STEP, seeds=(0, 1), half=1),
+}
+
+# family -> index of the first kept row, and the kept rows
+_KEPT: dict[str, tuple[int, list[IntPoly]]] = {}
+
+
+def poly_by_recurrence(family: str, n: int) -> IntPoly:
+    """Polynomial of ``family`` at n by its recurrence from the hard-coded bases.
+
+    As many rows as there are bases are kept, so ascending or repeated
+    requests cost at most one step per new row in constant memory; a
+    request below the kept rows starts again from the bases.
+    """
+    if family not in RECURRENCES:
+        raise ValueError(f"no polynomial recurrence for family {family!r}")
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    rec = RECURRENCES[family]
+    start, rows = _KEPT.get(family, (n + 1, []))
+    if n < start:
+        start, rows = 0, [IntPoly(b) for b in rec.bases]
+    while start + len(rows) <= n:
+        step = rec.steps[(start + len(rows)) % len(rec.steps)]
+        rows.append(IntPoly.sum_of_products((c, rows[-j]) for j, c in enumerate(step, 1) if c))
+        del rows[0]
+        start += 1
+    _KEPT[family] = (start, rows)
+    return rows[n - start]
+
+
+# -- coefficient recurrences ----------------------------------------------------------
+
+
+class CoeffRecurrence(NamedTuple):
+    """A coefficient recurrence as stated, ``row(n,k) = row(n-i,k-j) +/- ...``,
+    and the consecutive indices of the census rows it starts from, as many as
+    it reads back; it is validated from the next index on.  A ``half`` series
+    recurs on m, and its row m is the census rank row 2m + half.
+    """
+
+    statement: str
+    seeds: tuple[int, ...]
+    half: int | None = None
+
+
+_HALF_INDEX = "r(m,k) = r(m-1,k) + r(m-1,k-1) + r(m-1,k-2) - r(m-2,k-2)"
+
+COEFF_RECURRENCES = {
+    "cube": CoeffRecurrence("q(n,k) = q(n-1,k) + q(n-2,k) + q(n-2,k-1)", (3, 4)),
+    "maxcube": CoeffRecurrence("h(n,k) = h(n-2,k-1) + h(n-3,k-1)", (3, 4, 5)),
+    "degree": CoeffRecurrence(
+        "d(n,k) = d(n-2,k-1) + d(n-1,k-1) - d(n-3,k-2) + d(n-3,k-1)", (3, 4, 5)
+    ),
+    "indegree": CoeffRecurrence("d-(n,k) = d-(n-1,k) + d-(n-2,k-1)", (3, 4)),
+    "rank-even": CoeffRecurrence(_HALF_INDEX, (2, 3), half=0),
+    "rank-odd": CoeffRecurrence(_HALF_INDEX, (0, 1), half=1),
 }
 
 # Lowest index at which each coefficient recurrence agrees with the census;
 # below it the recurrence is refused (three of them fail on their stated
 # start, see the verification suite's erratum probes).
-VALIDATED_FROM = {f: rec.seeds[-1] + 1 for f, rec in RECURRENCES.items() if rec.seeds}
+VALIDATED_FROM = {f: rec.seeds[-1] + 1 for f, rec in COEFF_RECURRENCES.items()}
 
 
-def recurrence_step(family: str, n: int, row) -> IntPoly:
-    """Row n of ``family``'s recurrence from the earlier rows ``row(i)``."""
-    steps = RECURRENCES[family].steps
-    return IntPoly.sum_of_products(
-        (c, row(n - j)) for j, c in enumerate(steps[n % len(steps)], 1) if c
-    )
+def stated_terms(statement: str) -> list[tuple[int, int, int]]:
+    """The terms (sign, i, j) of a statement ``row(n,k) = +/- row(n-i,k-j) ...``."""
+    head = re.fullmatch(r"(\S+)\(([nm]),k\) = (.+)", statement)
+    term = head and rf" ([+-]) {re.escape(head[1])}\({head[2]}-(\d+),k(?:-(\d+))?\)"
+    if not head or not re.fullmatch(f"(?:{term})+", " + " + head[3]):
+        raise ValueError(f"cannot read the recurrence {statement!r}")
+    return [(int(s + "1"), int(i), int(j or 0)) for s, i, j in re.findall(term, " + " + head[3])]
 
 
-def lattice_row(family: str, n: int) -> tuple[str, int]:
-    """The census family and S-fence size whose polynomial is row n."""
-    half = RECURRENCES[family].half
-    return (family, n) if half is None else ("rank", 2 * n + half)
+def stated_step(terms: list[tuple[int, int, int]], n: int, row) -> list[int]:
+    """Coefficient row n by the stated ``terms`` from the earlier rows
+    ``row(i)``; the row may end in zeros."""
+    out = [0] * max(len(row(n - i)) + j for _, i, j in terms)
+    for sign, i, j in terms:
+        r = row(n - i)
+        out[j : j + len(r)] = map(add if sign > 0 else sub, out[j : j + len(r)], r)
+    return out
 
 
-# (family, route) -> index of the first kept row, and the kept rows
-_KEPT: dict[tuple[str, str], tuple[int, list[IntPoly]]] = {}
-
-
-@lru_cache(maxsize=16)
-def _evaluate(family: str, route: str, n: int) -> IntPoly:
-    """Row n of ``family``'s recurrence, stepped up iteratively from the
-    first rows of ``route``: "poly" starts from the hard-coded bases,
-    "coeff" from the census seeds.
-
-    Only the rows the next step reads are kept, so ascending or repeated
-    requests cost at most one step per new row in constant memory; a
-    request below the kept rows starts again from the first rows.  The
-    small cache serves the many requests for one row that reading it a
-    coefficient at a time makes.
-    """
-    start, rows = _KEPT.get((family, route), (n + 1, []))
-    rec = RECURRENCES[family]
-    if n < start:
-        if route == "poly":
-            start, rows = 0, [IntPoly(b) for b in rec.bases]
-        else:
-            from . import tables  # imported here: tables imports this module
-
-            start = rec.seeds[0]
-            rows = [tables.census_poly(*lattice_row(family, i)) for i in rec.seeds]
-    order = max(map(len, rec.steps))
-    while start + len(rows) <= n:
-        rows.append(recurrence_step(family, start + len(rows), lambda i: rows[i - start]))
-        drop = len(rows) - order
-        if drop > 0:
-            del rows[:drop]
-            start += drop
-    _KEPT[(family, route)] = (start, rows)
-    return rows[n - start]
-
-
-def poly_by_recurrence(family: str, n: int) -> IntPoly:
-    """Polynomial of ``family`` at n by its recurrence from the hard-coded bases."""
-    if family not in RECURRENCES or not RECURRENCES[family].bases:
-        raise ValueError(f"no polynomial recurrence for family {family!r}")
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return _evaluate(family, "poly", n)
+# family -> index of the first kept coefficient row, the kept rows, and the
+# terms of the statement they are stepped by
+_COEFF_ROWS: dict[str, tuple[int, list[list[int]], list[tuple[int, int, int]]]] = {}
 
 
 def coeff_by_recurrence(family: str, n: int, k: int) -> int:
@@ -278,12 +292,24 @@ def coeff_by_recurrence(family: str, n: int, k: int) -> int:
     ``family`` is one of cube, maxcube, degree, indegree, rank-even or
     rank-odd (the last two recurse on the half-index).  Indices below the
     empirically validated start raise a range error naming the family.
+    Rows are stepped up from the seeds and kept as in ``poly_by_recurrence``.
     """
-    if family not in VALIDATED_FROM:
+    lo = VALIDATED_FROM.get(family)
+    if lo is None:
         raise ValueError(f"unknown family {family!r}")
-    if n < VALIDATED_FROM[family]:
-        raise ValueError(
-            f"{family} coefficient recurrence is validated for n >= "
-            f"{VALIDATED_FROM[family]}, got {n}"
-        )
-    return _evaluate(family, "coeff", n).coeff(k)
+    if n < lo:
+        raise ValueError(f"{family} coefficient recurrence is validated for n >= {lo}, got {n}")
+    start, rows, terms = _COEFF_ROWS.get(family) or (n + 1, [], [])
+    if not start <= n < start + len(rows):
+        rec = COEFF_RECURRENCES[family]
+        if n < start:
+            key, size, shift = (family, 1, 0) if rec.half is None else ("rank", 2, rec.half)
+            start, terms = rec.seeds[0], stated_terms(rec.statement)
+            rows = [list(poset_census(sfence(size * i + shift))[key].coeffs) for i in rec.seeds]
+        while start + len(rows) <= n:
+            rows.append(stated_step(terms, start + len(rows), lambda i: rows[i - start]))
+            del rows[0]
+            start += 1
+        _COEFF_ROWS[family] = (start, rows, terms)
+    row = rows[n - start]
+    return row[k] if 0 <= k < len(row) else 0

@@ -14,14 +14,14 @@ from functools import partial
 
 from . import tables
 from .formulas import (
-    RECURRENCES,
+    COEFF_RECURRENCES,
     VALIDATED_FROM,
     binom,
     coeff_by_recurrence,
     fib,
-    lattice_row,
     padovan133,
-    recurrence_step,
+    stated_step,
+    stated_terms,
 )
 from .census import cube_polynomial, generic_cube_count, rank_polynomial
 from .genfun import ALL_SERIES
@@ -151,15 +151,15 @@ def _method_agreement(report: VerificationReport, census_hi: int, formula_hi: in
         lambda n: sfence(n).count_filters(),
     )
     for family, lo in VALIDATED_FROM.items():
-        hi = formula_hi if RECURRENCES[family].half is None else formula_hi // 2
+        # row m of a half-index series is the rank row 2m + half
+        half = COEFF_RECURRENCES[family].half
+        poly, size, shift = (family, 1, 0) if half is None else ("rank", 2, half)
         report.compare_range(
             f"{family}: coefficient recurrence vs polynomial recurrence",
             lo,
-            hi,
-            lambda n, f=family: IntPoly(
-                [coeff_by_recurrence(f, n, k) for k in range(2 * n + 2)]
-            ),
-            lambda n, f=family: tables.recurrence_poly(*lattice_row(f, n)),
+            formula_hi // size,
+            lambda n, f=family: IntPoly([coeff_by_recurrence(f, n, k) for k in range(2 * n + 2)]),
+            lambda n, p=poly, s=size, h=shift: tables.recurrence_poly(p, s * n + h),
         )
 
 
@@ -374,28 +374,30 @@ def _generic_cubes(report: VerificationReport, hi: int) -> None:
 # -- erratum probes -----------------------------------------------------------
 
 # The three coefficient recurrences whose stated start fails, in report
-# order, as they are stated and with that start.  Each probe applies the
-# recurrence's step to census rows, expects the mismatch at every index from
-# the stated start up to the validated one, and confirms the validated range.
-_ERRATA = (
-    ("cube", "q(n,k) = q(n-1,k) + q(n-2,k) + q(n-2,k-1)", 4),
-    ("indegree", "d-(n,k) = d-(n-1,k) + d-(n-2,k-1)", 3),
-    ("degree", "d(n,k) = d(n-2,k-1) + d(n-1,k-1) - d(n-3,k-2) + d(n-3,k-1)", 4),
-)
+# order, with that start.  Each probe applies the statement to census rows,
+# expects the mismatch at every index from the stated start up to the
+# validated one, and confirms the validated range.
+_ERRATA = (("cube", 4), ("indegree", 3), ("degree", 4))
 
 
 def _erratum_probes(report: VerificationReport, census_hi: int) -> None:
-    for family, statement, stated_from in _ERRATA:
+    for family, stated_from in _ERRATA:
+        statement = COEFF_RECURRENCES[family].statement
         valid_from = VALIDATED_FROM[family]
         probe_ns = range(stated_from, valid_from)
         if census_hi < max(probe_ns):
             continue
 
+        terms = stated_terms(statement)
         rows = partial(tables.census_poly, family)
+
+        def predict(n):
+            return IntPoly(stated_step(terms, n, lambda i: rows(i).coeffs))
+
         details = []
         ok = True
         for n in probe_ns:
-            predicted = recurrence_step(family, n, rows)
+            predicted = predict(n)
             actual = rows(n)
             if predicted == actual:
                 ok = False
@@ -403,7 +405,7 @@ def _erratum_probes(report: VerificationReport, census_hi: int) -> None:
             else:
                 details.append(f"n={n}: recurrence gives {predicted}, census gives {actual}")
         for n in range(valid_from, census_hi + 1):
-            if recurrence_step(family, n, rows) != rows(n):
+            if predict(n) != rows(n):
                 ok = False
                 details.append(f"recurrence unexpectedly fails at n={n}")
                 break

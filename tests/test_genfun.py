@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 import golden_tables
 from flcubes import tables
-from flcubes.formulas import RECURRENCES, fib
+from flcubes.formulas import COEFF_RECURRENCES, RECURRENCES, fib, stated_terms
 from flcubes.genfun import (
     ALL_SERIES,
     RationalSeries,
@@ -96,7 +96,7 @@ def test_expansions_match_the_recurrences_to_n200(family):
     """Large-int rows: the GF route against the recurrence route, and the
     series times its denominator against its numerator, past y^200."""
     series = ALL_SERIES[family]()
-    half = RECURRENCES[family].half
+    half = COEFF_RECURRENCES[family].half if family in COEFF_RECURRENCES else None
     if half is None:
         expected = [tables.recurrence_poly(family, n) for n in range(LONG_RANGE_N + 1)]
     else:
@@ -111,18 +111,49 @@ def _characteristic(step):
     return (IntPoly.one(),) + tuple(-c for c in step)
 
 
+def _stated_step(family):
+    """The step (c1, c2, ...) read off the stated coefficient recurrence:
+    a term +/- row(n-i,k-j) adds +/- x^j to c_i."""
+    terms = stated_terms(COEFF_RECURRENCES[family].statement)
+    step = [IntPoly.zero()] * max(i for _, i, _ in terms)
+    for sign, i, j in terms:
+        step[i - 1] += IntPoly([0] * j + [sign])
+    return step
+
+
 @pytest.mark.parametrize(
     "family", ["cube", "maxcube", "degree", "indegree", "rank-even", "rank-odd"]
 )
 def test_denominator_is_characteristic_polynomial_of_the_recurrence(family):
-    (step,) = RECURRENCES[family].steps
-    assert ALL_SERIES[family]().denominator == _characteristic(step)
+    assert ALL_SERIES[family]().denominator == _characteristic(_stated_step(family))
+
+
+def _period_characteristic(steps):
+    """1 - tr(M) t + det(M) t^2, with M the product over one period of the
+    companion matrices [[0, 1], [c2, c1]] of an order-2 recurrence."""
+    (a, b), (c, d) = (IntPoly.one(), IntPoly.zero()), (IntPoly.zero(), IntPoly.one())
+    for c1, c2 in steps:
+        (a, b), (c, d) = (c, d), (c2 * a + c1 * c, c2 * b + c1 * d)
+    return (IntPoly.one(), -(a + d), a * d - b * c)
+
+
+@pytest.mark.parametrize("family", ["rank", "cube", "maxcube", "degree", "indegree"])
+def test_denominator_is_characteristic_polynomial_of_the_polynomial_step(family):
+    steps = RECURRENCES[family].steps
+    denominator = ALL_SERIES[family]().denominator
+    if family == "rank":
+        # period 2 in n: the characteristic polynomial of a period, in y^2
+        assert denominator[0::2] == _period_characteristic(steps)
+        assert not any(denominator[1::2])
+    else:
+        (step,) = steps
+        assert denominator == _characteristic(step)
 
 
 def test_rank_denominator_is_the_half_index_step_in_y_squared():
-    (step,) = RECURRENCES["rank-even"].steps
     denominator = rank_gf().denominator
-    assert denominator[0::2] == _characteristic(step)
+    for family in ("rank-even", "rank-odd"):
+        assert denominator[0::2] == _characteristic(_stated_step(family)), family
     assert not any(denominator[1::2])
 
 
