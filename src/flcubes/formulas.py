@@ -1,9 +1,7 @@
 """Closed forms and recurrences for the counting polynomials of S-fence
-filter lattices, with Fibonacci and Padovan numbers and trinomial
-coefficients.  The polynomial recurrences step ``IntPoly`` rows from
-hard-coded bases.  The coefficient recurrences are a separate route: it
-reads each recurrence's statement as data and steps plain coefficient lists
-from census rows.  The two share no code, so each checks the other.
+filter lattices: Fibonacci and Padovan numbers, trinomial coefficients, the
+polynomial recurrences, and the coefficient recurrences, a separate route
+that steps plain coefficient lists by each recurrence's statement as data.
 
 Every binomial goes through :func:`binom`, which is zero whenever
 0 <= k <= n fails; several of the closed forms lean on that convention to
@@ -272,8 +270,7 @@ def stated_terms(statement: str) -> list[tuple[int, int, int]]:
 
 
 def stated_step(terms: list[tuple[int, int, int]], n: int, row) -> list[int]:
-    """Coefficient row n by the stated ``terms`` from the earlier rows
-    ``row(i)``; the row may end in zeros."""
+    """Row n by the stated ``terms`` from the earlier rows ``row(i)``; it may end in zeros."""
     out = [0] * max(len(row(n - i)) + j for _, i, j in terms)
     for sign, i, j in terms:
         r = row(n - i)
@@ -294,9 +291,9 @@ def coeff_by_recurrence(family: str, n: int, k: int) -> int:
     empirically validated start raise a range error naming the family.
     Rows are stepped up from the seeds and kept as in ``poly_by_recurrence``.
     """
-    lo = VALIDATED_FROM.get(family)
-    if lo is None:
+    if family not in VALIDATED_FROM:
         raise ValueError(f"unknown family {family!r}")
+    lo = VALIDATED_FROM[family]
     if n < lo:
         raise ValueError(f"{family} coefficient recurrence is validated for n >= {lo}, got {n}")
     start, rows, terms = _COEFF_ROWS.get(family) or (n + 1, [], [])
