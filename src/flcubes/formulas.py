@@ -160,7 +160,6 @@ def dm_coeff(n: int, k: int) -> int:
 
 _ONE = IntPoly.one()
 _X = IntPoly((0, 1))
-_X2 = IntPoly((0, 0, 1))
 
 
 class Recurrence(NamedTuple):
@@ -177,7 +176,7 @@ class Recurrence(NamedTuple):
 RECURRENCES = {
     # even n: r(n-1) + x^2 r(n-2); odd n: x r(n-1) + r(n-2)
     "rank": Recurrence(
-        steps=((_ONE, _X2), (_X, _ONE)),
+        steps=((_ONE, IntPoly((0, 0, 1))), (_X, _ONE)),
         bases=((1,), (1, 1), (1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 2, 1)),
     ),
     "cube": Recurrence(
