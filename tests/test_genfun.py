@@ -111,7 +111,7 @@ def _characteristic(step):
     return (IntPoly.one(),) + tuple(-c for c in step)
 
 
-def _stated_step(family):
+def _step_of_statement(family):
     """The step (c1, c2, ...) read off the stated coefficient recurrence:
     a term +/- row(n-i,k-j) adds +/- x^j to c_i."""
     terms = stated_terms(COEFF_RECURRENCES[family].statement)
@@ -125,7 +125,7 @@ def _stated_step(family):
     "family", ["cube", "maxcube", "degree", "indegree", "rank-even", "rank-odd"]
 )
 def test_denominator_is_characteristic_polynomial_of_the_recurrence(family):
-    assert ALL_SERIES[family]().denominator == _characteristic(_stated_step(family))
+    assert ALL_SERIES[family]().denominator == _characteristic(_step_of_statement(family))
 
 
 def _period_characteristic(steps):
@@ -153,7 +153,7 @@ def test_denominator_is_characteristic_polynomial_of_the_polynomial_step(family)
 def test_rank_denominator_is_the_half_index_step_in_y_squared():
     denominator = rank_gf().denominator
     for family in ("rank-even", "rank-odd"):
-        assert denominator[0::2] == _characteristic(_stated_step(family)), family
+        assert denominator[0::2] == _characteristic(_step_of_statement(family)), family
     assert not any(denominator[1::2])
 
 
