@@ -9,9 +9,14 @@ general: M3 has cube polynomial 5 + 6x, and its Hasse graph has three
 induced squares.  One cached scan tables the Boolean intervals per bottom,
 as {top: dimension}, with an exact rule: for a set S of covers of a, [a, j]
 with j the join of S is Boolean iff every subset T of S joins to rank
-rank(a) + |T| and [a, j] has 2^|S| elements.  A cube is maximal when no
-cube one dimension up in that table extends it by a cover of its top or
-below its bottom, which needs no join and no order test.  The scan refuses
+rank(a) + |T| and [a, j] has 2^|S| elements.  The cube and maximal-cube
+censuses read that table once per bottom: a bottom a whose whole set S
+of covers passed adds the row C(|S|, k) to the cube count, and only
+[a, j] for j the join of S can be maximal, which one table lookup per
+vertex covered by a decides.  The other bottoms are counted cube by cube,
+a cube being maximal when no cube one dimension up in the table extends
+it by a cover of its top or below its bottom.  Neither census needs a
+join or an order test of its own.  The scan refuses
 diagrams whose masks (about 2·V² bits) or joins (one per subset of each
 vertex's covers) exceed its bounds.  The poset-native census counts
 the same six families from the filters' minimal and addable elements, in one
@@ -23,7 +28,7 @@ results can arbitrate them.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
 from typing import Iterable
 from weakref import WeakKeyDictionary
@@ -137,9 +142,24 @@ def cube_polynomial(diagram: LatticeDiagram) -> IntPoly:
     An interval is Boolean when it is isomorphic to the subsets of a k-set;
     see ``_scan`` for the exact rule.  On distributive lattices these are
     the induced k-cubes of the Hasse graph; M3 has 5 + 6x here but three
-    induced squares.
+    induced squares.  A bottom with m covers whose whole cover set passed
+    the scan's test, which is exactly when its table has 2^m tops, adds the
+    row C(m, k) without reading its table; only the other bottoms' tables
+    are counted top by top.
     """
-    return _histogram(chain.from_iterable(map(dict.values, _scan(diagram))))
+    tops = _scan(diagram)
+    whole: Counter[int] = Counter()  # bottoms whose whole cover set passed, per m
+    counts: Counter[int] = Counter()
+    for ups, found in zip(diagram.up_adj, tops):
+        m = len(ups)
+        if len(found) == 1 << m:
+            whole[m] += 1
+        else:
+            counts.update(found.values())
+    for m, c in whole.items():
+        for k in range(m + 1):
+            counts[k] += c * comb(m, k)
+    return _poly_of(counts)
 
 
 def maximal_cube_polynomial(diagram: LatticeDiagram) -> IntPoly:
@@ -149,18 +169,37 @@ def maximal_cube_polynomial(diagram: LatticeDiagram) -> IntPoly:
     and a face lies in a facet one dimension up that keeps its bottom or
     its top.  So [a, j] is maximal iff neither [a, u] for a cover u of j
     nor [b, j] for a vertex b covered by a is a cube; in a graded diagram
-    either would have dimension one more.  The top side is one disjointness
-    test against a's table, and the bottom side runs only when it passes.
+    either would have dimension one more.  Where the whole set S of a's
+    covers passed the scan's test (a's table has 2^|S| tops), write j_T
+    for the join of T within S: every [a, j_T] with T a proper subset of S
+    is a face of [a, j_T'] for T' one cover larger, and no cube with bottom
+    a lies above j_S, so j_S, which ``_scan`` stores last, is the one
+    candidate and only its bottom side is tested.  That is one lookup per
+    vertex covered by a, once per bottom.  Every other bottom tests each
+    cube in its table: the top side
+    is one disjointness test against the table, and the bottom side runs
+    only when it passes.
     """
     tops = _scan(diagram)
     up_adj, down_adj = diagram.up_adj, diagram.down_adj
-    return _histogram(
-        k
-        for a, found in enumerate(tops)
-        for j, k in found.items()
-        if found.keys().isdisjoint(up_adj[j])
-        and not any(j in tops[b] for b in down_adj[a])
-    )
+    counts: Counter[int] = Counter()
+    for ups, downs, found in zip(up_adj, down_adj, tops):
+        m = len(ups)
+        if len(found) == 1 << m:
+            top = next(reversed(found))
+            for b in downs:
+                if top in tops[b]:
+                    break
+            else:
+                counts[m] += 1
+            continue
+        counts.update(
+            k
+            for j, k in found.items()
+            if found.keys().isdisjoint(up_adj[j])
+            and not any(j in tops[b] for b in downs)
+        )
+    return _poly_of(counts)
 
 
 def degree_polynomial(diagram: LatticeDiagram) -> IntPoly:

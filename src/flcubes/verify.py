@@ -183,7 +183,9 @@ def _identity_suite(report: VerificationReport, census_hi: int, formula_hi: int)
         lambda n: tables.recurrence_poly("cube", n),
     )
     # the native census counts cubes as indegree(1+x), so the cube side is
-    # taken from the diagram scan to keep this check from being circular
+    # taken from the diagram scan to keep this check from being circular;
+    # the scan adds C(m, k) for a bottom with m covers only once it has
+    # found that they span a Boolean interval
     report.compare_range(
         "indegree(1+x) equals cube polynomial (census route)",
         0,

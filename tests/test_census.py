@@ -345,6 +345,26 @@ def test_scan_matches_reference_on_large_diagrams(build, size):
     assert_scan_matches_reference(d)
 
 
+@pytest.mark.parametrize("build, size", [
+    (lambda: sfence(18), 5168),
+    (lambda: sfence(20), 13530),
+    (lambda: fence(19), 10946),
+], ids=["sfence-18", "sfence-20", "fence-19"])
+def test_per_bottom_counts_match_per_cube_counts_and_the_native_census_on_large_diagrams(
+    build, size
+):
+    # too large for reference_scan: the per-bottom cube and maxcube counts
+    # are checked against the scan's table read cube by cube, and against
+    # the native census, which never builds the diagram
+    poset = build()
+    d = filter_lattice(poset)
+    assert len(d) == size
+    native = poset_census(poset)
+    cubes = {(a, j): k for a, found in enumerate(census._scan(d)) for j, k in found.items()}
+    assert cube_polynomial(d) == histogram(cubes.values()) == native["cube"]
+    assert maximal_cube_polynomial(d) == histogram(reference_maxcubes(d, cubes)) == native["maxcube"]
+
+
 @pytest.mark.parametrize("lattice", [TWO_SUBSETS, FAKE_CUBE, SPARE_VERTEX], ids=NOT_BOOLEAN_IDS)
 def test_scan_counts_what_the_reference_counts(lattice):
     # the scan and the reference keep the same intervals of these lattices,
@@ -558,6 +578,17 @@ def test_native_census_matches_diagram_census_on_every_small_poset(n, count):
     assert len(corpus) == count
     for poset in corpus:
         assert_native_matches_diagram(poset)
+
+
+@pytest.mark.slow
+def test_native_census_matches_diagram_census_on_every_seven_element_poset():
+    # the 96 428 naturally labelled 7-element posets (OEIS A006455); about a
+    # minute, so it runs as its own CI step rather than in tier-1
+    count = 0
+    for poset in naturally_labelled_posets(7):
+        assert_native_matches_diagram(poset)
+        count += 1
+    assert count == 96428
 
 
 def test_sfence_census_refuses_past_the_lattice_bound():

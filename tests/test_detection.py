@@ -1,9 +1,11 @@
 """Fault injection: a verify line that compares two routes must fail when one
 of them is wrong, and only the lines that read the faulty route may fail."""
 
+from math import comb
+
 import pytest
 
-from flcubes import formulas, tables
+from flcubes import census, formulas, tables, verify
 from flcubes.polynomials import IntPoly
 from flcubes.verify import run_verification
 
@@ -67,6 +69,32 @@ def test_a_wrong_cube_statement_fails_its_coefficient_line_and_its_probe(
     assert _non_passing() == {
         ("cube: coefficient recurrence vs polynomial recurrence", "fail"),
         (f"cube coefficient recurrence {statement}", "fail"),
+        (INDEGREE_ERRATUM, "erratum"),
+        (DEGREE_ERRATUM, "erratum"),
+    }
+
+
+def test_a_wrong_per_bottom_cube_row_fails_every_line_that_reads_the_diagram_cubes(
+    fresh_memos, monkeypatch
+):
+    # every bottom of a filter lattice passes the whole-cover-set test, so
+    # each bottom with a cover adds one 1-cube too many; the native census,
+    # which also reads comb, is left alone
+    real = census.cube_polynomial
+
+    def cube_polynomial(diagram):
+        with monkeypatch.context() as local:
+            local.setattr(census, "comb", lambda m, k: comb(m, k) + (k == 1))
+            return real(diagram)
+
+    monkeypatch.setattr(census, "cube_polynomial", cube_polynomial)
+    monkeypatch.setattr(verify, "cube_polynomial", cube_polynomial)
+    assert _non_passing() == {
+        ("indegree(1+x) equals cube polynomial (census route)", "fail"),
+        ("dual-fence split: cube polynomial gains (1+x) times the cutting's", "fail"),
+        ("last-element split: cube polynomial gains (1+x) times the cutting's", "fail"),
+        ("subgraph search agrees with interval cube census", "fail"),
+        (CUBE_ERRATUM, "erratum"),
         (INDEGREE_ERRATUM, "erratum"),
         (DEGREE_ERRATUM, "erratum"),
     }
