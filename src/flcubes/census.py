@@ -6,17 +6,19 @@ vertices per degree, indegree and outdegree.  A k-cube is an interval
 [a, j] isomorphic to the lattice of subsets of a k-set; on a distributive
 lattice these are the induced k-cubes of the Hasse graph, but not in
 general: M3 has cube polynomial 5 + 6x, and its Hasse graph has three
-induced squares.  One cached scan tables the Boolean intervals per bottom,
-as {top: dimension}, with an exact rule: for a set S of covers of a, [a, j]
-with j the join of S is Boolean iff every subset T of S joins to rank
-rank(a) + |T| and [a, j] has 2^|S| elements.  The cube and maximal-cube
-censuses read that table once per bottom: a bottom a whose whole set S
-of covers passed adds the row C(|S|, k) to the cube count, and only
-[a, j] for j the join of S can be maximal, which one table lookup per
-vertex covered by a decides.  The other bottoms are counted cube by cube,
-a cube being maximal when no cube one dimension up in the table extends
-it by a cover of its top or below its bottom.  Neither census needs a
-join or an order test of its own.  The scan refuses
+induced squares.  One cached scan tables the Boolean intervals per bottom
+with an exact rule: for a set S of covers of a, [a, j] with j the join of S
+is Boolean iff every subset T of S joins to rank rank(a) + |T| and [a, j]
+has 2^|S| elements.  A bottom a whose whole set S of covers passes keeps
+only j_S, the join of S, since its cube tops are then exactly [a, j_S];
+any other bottom keeps {top: dimension}.  The cube and maximal-cube
+censuses read that table once per bottom: a bottom that passed adds the
+row C(|S|, k) to the cube count, and only [a, j_S] can be maximal, which
+one table test per vertex covered by a decides.  The other bottoms are
+counted cube by cube, a cube being maximal when no cube one dimension up
+in the table extends it by a cover of its top or below its bottom.
+Neither census needs a join of its own; a table test against a passed
+bottom's one top is one AND of the diagram's order masks.  The scan refuses
 diagrams whose masks (about 2·V² bits) or joins (one per subset of each
 vertex's covers) exceed its bounds.  The poset-native census counts
 the same six families from the filters' minimal and addable elements, in one
@@ -44,11 +46,11 @@ GENERIC_GRAPH_BOUND = 30
 GENERIC_DIM_BOUND = 3
 
 # _scan's table per diagram, dropped with the diagram; diagrams hash by identity
-_TABLES: WeakKeyDictionary[LatticeDiagram, list[dict[int, int]]] = WeakKeyDictionary()
+_TABLES: WeakKeyDictionary[LatticeDiagram, list[int | dict[int, int]]] = WeakKeyDictionary()
 
 
-def _scan(diagram: LatticeDiagram) -> list[dict[int, int]]:
-    """Every Boolean interval of the diagram: per bottom a, {top: dimension}.
+def _scan(diagram: LatticeDiagram) -> list[int | dict[int, int]]:
+    """Every Boolean interval of the diagram: per bottom a, j_S or {top: dimension}.
 
     For a set S of covers of a, write j_T for the join of each subset T of
     S.  Then [a, j_S] is Boolean if and only if rank(j_T) = rank(a) + |T|
@@ -59,8 +61,11 @@ def _scan(diagram: LatticeDiagram) -> list[dict[int, int]]:
     a Boolean interval is Boolean.  So the scan joins all subsets of a's
     covers and tests S = all of them once, one comparison of the joins'
     ranks and one interval popcount; when that passes, as it always does
-    on filter lattices, ``tops[a]`` is {j_T: |T|} over all T.  Otherwise
-    the same rule runs per subset T, over the subsets of T.
+    on filter lattices, ``tops[a]`` is the int j_S: [a, j_S] is Boolean and
+    every element of it is a join j_T, so j is a cube top over a iff
+    a <= j <= j_S, of dimension rank(j) - rank(a).  Otherwise the same rule
+    runs per subset T, over the subsets of T, and ``tops[a]`` is {j_T: |T|}
+    over the T that pass.
 
     The diagram's order masks number vertices from the top rank down, so
     the least element of any up-set intersection is its highest set bit,
@@ -82,7 +87,7 @@ def _scan(diagram: LatticeDiagram) -> list[dict[int, int]]:
     sizes: dict[int, list[int]] = {}  # |T| for each subset T of m covers
     targets: dict[tuple[int, int], list[int]] = {}  # rank(a) + |T|, per (rank(a), m)
 
-    tops: list[dict[int, int]] = []
+    tops: list[int | dict[int, int]] = []
     for a in range(n):
         ups = up_adj[a]
         rank_a, up_a = ranks[a], upm[a]
@@ -104,7 +109,7 @@ def _scan(diagram: LatticeDiagram) -> list[dict[int, int]]:
         target = targets[rank_a, m]
         if (list(map(ranks.__getitem__, joins)) == target
                 and (up_a & dnm[joins[-1]]).bit_count() == len(joins)):
-            tops.append(dict(zip(joins, size)))
+            tops.append(joins[-1])
             continue
         found = {}
         graded = [False] * len(joins)  # rank(j_U) = rank(a) + |U| for all U <= T
@@ -143,17 +148,15 @@ def cube_polynomial(diagram: LatticeDiagram) -> IntPoly:
     see ``_scan`` for the exact rule.  On distributive lattices these are
     the induced k-cubes of the Hasse graph; M3 has 5 + 6x here but three
     induced squares.  A bottom with m covers whose whole cover set passed
-    the scan's test, which is exactly when its table has 2^m tops, adds the
-    row C(m, k) without reading its table; only the other bottoms' tables
-    are counted top by top.
+    the scan's test, which is exactly when its table entry is one top, adds
+    the row C(m, k); only the other bottoms' tables are counted top by top.
     """
     tops = _scan(diagram)
     whole: Counter[int] = Counter()  # bottoms whose whole cover set passed, per m
     counts: Counter[int] = Counter()
     for ups, found in zip(diagram.up_adj, tops):
-        m = len(ups)
-        if len(found) == 1 << m:
-            whole[m] += 1
+        if isinstance(found, int):
+            whole[len(ups)] += 1
         else:
             counts.update(found.values())
     for m, c in whole.items():
@@ -170,34 +173,40 @@ def maximal_cube_polynomial(diagram: LatticeDiagram) -> IntPoly:
     its top.  So [a, j] is maximal iff neither [a, u] for a cover u of j
     nor [b, j] for a vertex b covered by a is a cube; in a graded diagram
     either would have dimension one more.  Where the whole set S of a's
-    covers passed the scan's test (a's table has 2^|S| tops), write j_T
-    for the join of T within S: every [a, j_T] with T a proper subset of S
-    is a face of [a, j_T'] for T' one cover larger, and no cube with bottom
-    a lies above j_S, so j_S, which ``_scan`` stores last, is the one
-    candidate and only its bottom side is tested.  That is one lookup per
-    vertex covered by a, once per bottom.  Every other bottom tests each
-    cube in its table: the top side
-    is one disjointness test against the table, and the bottom side runs
-    only when it passes.
+    covers passed the scan's test, write j_T for the join of T within S:
+    every [a, j_T] with T a proper subset of S is a face of [a, j_T'] for
+    T' one cover larger, and no cube with bottom a lies above j_S, so j_S,
+    the one top ``_scan`` stores for a, is the one candidate and only its
+    bottom side is tested.  That is one table test per vertex covered by a,
+    once per bottom.  Every other bottom tests each cube in its table: the
+    top side is one disjointness test against the table, and the bottom
+    side runs only when it passes.  For b covered by a <= j, [b, j] is a
+    cube iff j lies below the one top t stored for b, as b <= j already
+    holds (one AND of j's up-set and t's down-set), or iff j is in b's
+    table when b keeps a dict.
     """
     tops = _scan(diagram)
     up_adj, down_adj = diagram.up_adj, diagram.down_adj
+    upm, dnm = diagram.up_masks, diagram.down_masks
+
+    def cube_below(b: int, j: int) -> bool:
+        t = tops[b]
+        return bool(upm[j] & dnm[t]) if isinstance(t, int) else j in t
+
     counts: Counter[int] = Counter()
     for ups, downs, found in zip(up_adj, down_adj, tops):
-        m = len(ups)
-        if len(found) == 1 << m:
-            top = next(reversed(found))
+        if isinstance(found, int):
             for b in downs:
-                if top in tops[b]:
+                if cube_below(b, found):
                     break
             else:
-                counts[m] += 1
+                counts[len(ups)] += 1
             continue
         counts.update(
             k
             for j, k in found.items()
             if found.keys().isdisjoint(up_adj[j])
-            and not any(j in tops[b] for b in downs)
+            and not any(cube_below(b, j) for b in downs)
         )
     return _poly_of(counts)
 

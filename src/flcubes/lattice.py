@@ -161,7 +161,12 @@ class LatticeDiagram:
         if not self.leq(interval.bottom, interval.top):
             raise ValueError("interval bottom is not below its top")
         mask = self.up_masks[interval.bottom] & self.down_masks[interval.top]
-        return [v for p, v in enumerate(reversed(self.rank_order)) if mask >> p & 1][::-1]
+        order, members = self.rank_order, []
+        while mask:  # set bits only, highest first, which is rank_order's order
+            p = mask.bit_length() - 1
+            members.append(order[-1 - p])
+            mask ^= 1 << p
+        return members
 
 
 # -- construction ------------------------------------------------------------

@@ -21,6 +21,7 @@ from flcubes.census import (
 )
 from flcubes.errors import CapacityError
 from flcubes.lattice import (
+    Interval,
     convex_expansion,
     deletion_cutting,
     filter_lattice,
@@ -56,9 +57,21 @@ def test_rank_polynomial_sums_to_vertex_count():
         assert rank_polynomial(d)(1) == len(d)
 
 
+def scan_table(d):
+    """The scan's table with every bottom as {top: dimension}: a bottom a
+    stored as one top t, its whole cover set having passed, has the cube
+    tops [a, t]."""
+    ranks = d.ranks
+    return [
+        {j: ranks[j] - ranks[a] for j in d.interval_members(Interval(a, t))}
+        if isinstance(t, int) else t
+        for a, t in enumerate(census._scan(d))
+    ]
+
+
 def cubes_of(d):
     """The scan's cubes as (dim, bottom, top), sorted."""
-    return sorted((k, a, j) for a, found in enumerate(census._scan(d)) for j, k in found.items())
+    return sorted((k, a, j) for a, found in enumerate(scan_table(d)) for j, k in found.items())
 
 
 def test_enumerate_cubes_small():
@@ -128,16 +141,16 @@ FAKE_CUBE = lattice_from_covers(
 )
 
 
-def stacked_bowtie(length):
-    """BOWTIE with its bottom on the top of a chain of ``length`` vertices."""
-    shift = length - 1
-    covers = [(i + 1, i) for i in range(shift)]
-    covers += [(u + shift, v + shift) for v, ups in enumerate(BOWTIE.up_adj) for u in ups]
-    return lattice_from_covers(list(range(shift)) + [r + shift for r in BOWTIE.ranks], covers)
+def stacked(lattice, length):
+    """``lattice``, whose bottom is vertex 0, on a chain of ``length`` more
+    vertices 0..length-1, its bottom becoming vertex ``length``."""
+    covers = [(i + 1, i) for i in range(length)]
+    covers += [(u + length, v + length) for v, ups in enumerate(lattice.up_adj) for u in ups]
+    return lattice_from_covers(list(range(length)) + [r + length for r in lattice.ranks], covers)
 
 
 # the atoms' non-unique join sits past bit 64 of an ascending mask
-STACKED_BOWTIE = stacked_bowtie(120)
+STACKED_BOWTIE = stacked(BOWTIE, 119)
 
 
 def test_scan_refuses_a_graded_non_lattice():
@@ -269,7 +282,7 @@ def histogram(values):
 
 def assert_scan_matches_reference(d):
     cubes = reference_scan(d)
-    flat = {(a, j): k for a, found in enumerate(census._scan(d)) for j, k in found.items()}
+    flat = {(a, j): k for a, found in enumerate(scan_table(d)) for j, k in found.items()}
     assert flat == cubes
     assert cube_polynomial(d) == histogram(cubes.values())
     assert maximal_cube_polynomial(d) == histogram(reference_maxcubes(d, cubes))
@@ -360,7 +373,7 @@ def test_per_bottom_counts_match_per_cube_counts_and_the_native_census_on_large_
     d = filter_lattice(poset)
     assert len(d) == size
     native = poset_census(poset)
-    cubes = {(a, j): k for a, found in enumerate(census._scan(d)) for j, k in found.items()}
+    cubes = {(a, j): k for a, found in enumerate(scan_table(d)) for j, k in found.items()}
     assert cube_polynomial(d) == histogram(cubes.values()) == native["cube"]
     assert maximal_cube_polynomial(d) == histogram(reference_maxcubes(d, cubes)) == native["maxcube"]
 
@@ -370,6 +383,40 @@ def test_scan_counts_what_the_reference_counts(lattice):
     # the scan and the reference keep the same intervals of these lattices,
     # and neither refuses them
     assert_scan_matches_reference(lattice)
+
+
+@pytest.mark.parametrize("lattice", [TWO_SUBSETS, FAKE_CUBE, SPARE_VERTEX], ids=NOT_BOOLEAN_IDS)
+def test_a_failed_bottom_reads_the_one_top_of_a_passed_bottom_below_it(lattice):
+    # on a 2-vertex chain the lattice's bottom, vertex 2, fails the whole-set
+    # test, and its facet test reads the passed entry of chain vertex 1
+    d = stacked(lattice, 2)
+    table = census._scan(d)
+    assert isinstance(table[1], int) and isinstance(table[2], dict)
+    assert_scan_matches_reference(d)
+
+
+def test_the_stacked_fake_cube_counts():
+    d = stacked(FAKE_CUBE, 2)
+    assert cube_polynomial(d) == IntPoly([10, 13, 4])
+    assert maximal_cube_polynomial(d) == IntPoly([0, 2, 4])
+
+
+# the square 0 < 1, 2 < 3 with M3 on its atom 1: 1 < 3, 4, 5 < 6 and 2 < 3 < 6
+M3_ON_A_SQUARE = lattice_from_covers(
+    (0, 1, 1, 2, 2, 2, 3),
+    [(1, 0), (2, 0), (3, 1), (3, 2), (4, 1), (5, 1), (6, 3), (6, 4), (6, 5)],
+)
+
+
+def test_a_failed_bottom_cube_whose_one_facet_is_a_passed_bottom_interval():
+    # vertex 1 fails the whole-set test; its edge [1, 3] lies in no square
+    # over 1, and only the one top 3 stored for vertex 0 shows it is no
+    # maximal cube
+    table = census._scan(M3_ON_A_SQUARE)
+    assert table[0] == 3 and isinstance(table[1], dict)
+    assert cube_polynomial(M3_ON_A_SQUARE) == IntPoly([7, 9, 1])
+    assert maximal_cube_polynomial(M3_ON_A_SQUARE) == IntPoly([0, 5, 1])
+    assert_scan_matches_reference(M3_ON_A_SQUARE)
 
 
 @pytest.mark.parametrize("lattice", [BOWTIE, STACKED_BOWTIE], ids=["bowtie", "stacked-bowtie"])
@@ -398,6 +445,24 @@ def test_scan_join_bound():
 
 
 # -- the scan's table, keyed by diagram identity -----------------------------------
+
+
+@pytest.mark.parametrize("d", [phi(12), filter_lattice(fence(12))], ids=["sfence-12", "fence-12"])
+def test_a_filter_lattice_table_holds_one_top_per_bottom(d):
+    # every bottom of a filter lattice passes the whole-set test, so no
+    # bottom keeps a dict of its joins
+    assert all(isinstance(t, int) for t in census._scan(d))
+
+
+@given(posets())
+@settings(max_examples=40, deadline=None)
+def test_a_random_filter_lattice_table_holds_one_top_per_bottom(p):
+    assert all(isinstance(t, int) for t in census._scan(filter_lattice(p)))
+
+
+@pytest.mark.parametrize("lattice", [TWO_SUBSETS, FAKE_CUBE, SPARE_VERTEX], ids=NOT_BOOLEAN_IDS)
+def test_a_failed_bottom_keeps_its_tops_as_a_dict(lattice):
+    assert isinstance(census._scan(lattice)[lattice.ranks.index(0)], dict)
 
 
 def test_scan_table_is_shared_per_diagram_and_built_per_twin():
