@@ -171,11 +171,20 @@ SPARE_VERTEX = lattice_from_covers(
 NOT_BOOLEAN_IDS = ["two-subsets", "fake-cube", "spare-vertex"]
 
 
+# the square 0 < 1, 2 < 3 with M3 on its atom 1: 1 < 3, 4, 5 < 6 and 2 < 3 < 6
+M3_ON_A_SQUARE = lattice_from_covers(
+    (0, 1, 1, 2, 2, 2, 3),
+    [(1, 0), (2, 0), (3, 1), (3, 2), (4, 1), (5, 1), (6, 3), (6, 4), (6, 5)],
+)
+
+
 @pytest.mark.parametrize("lattice, cube, maxcube, induced", [
     (TWO_SUBSETS, [8, 10, 2], [0, 2, 2], [8, 10, 2, 0]),
     (FAKE_CUBE, [8, 11, 4], [0, 0, 4], [8, 11, 4, 0]),
     (SPARE_VERTEX, [9, 14, 5], [0, 2, 5], [9, 14, 8, 1]),
-], ids=NOT_BOOLEAN_IDS)
+    (stacked(FAKE_CUBE, 2), [10, 13, 4], [0, 2, 4], [10, 13, 4, 0]),
+    (M3_ON_A_SQUARE, [7, 9, 1], [0, 5, 1], [7, 9, 4, 0]),
+], ids=NOT_BOOLEAN_IDS + ["stacked-fake-cube", "m3-on-a-square"])
 def test_scan_counts_only_boolean_intervals(lattice, cube, maxcube, induced):
     # lattices with an interval of rank k and 2^k or more elements that is
     # not Boolean; the induced-subgraph counts also see squares and cubes
@@ -385,38 +394,20 @@ def test_scan_counts_what_the_reference_counts(lattice):
     assert_scan_matches_reference(lattice)
 
 
-@pytest.mark.parametrize("lattice", [TWO_SUBSETS, FAKE_CUBE, SPARE_VERTEX], ids=NOT_BOOLEAN_IDS)
-def test_a_failed_bottom_reads_the_one_top_of_a_passed_bottom_below_it(lattice):
-    # on a 2-vertex chain the lattice's bottom, vertex 2, fails the whole-set
-    # test, and its facet test reads the passed entry of chain vertex 1
-    d = stacked(lattice, 2)
-    table = census._scan(d)
-    assert isinstance(table[1], int) and isinstance(table[2], dict)
-    assert_scan_matches_reference(d)
-
-
-def test_the_stacked_fake_cube_counts():
-    d = stacked(FAKE_CUBE, 2)
-    assert cube_polynomial(d) == IntPoly([10, 13, 4])
-    assert maximal_cube_polynomial(d) == IntPoly([0, 2, 4])
-
-
-# the square 0 < 1, 2 < 3 with M3 on its atom 1: 1 < 3, 4, 5 < 6 and 2 < 3 < 6
-M3_ON_A_SQUARE = lattice_from_covers(
-    (0, 1, 1, 2, 2, 2, 3),
-    [(1, 0), (2, 0), (3, 1), (3, 2), (4, 1), (5, 1), (6, 3), (6, 4), (6, 5)],
-)
-
-
-def test_a_failed_bottom_cube_whose_one_facet_is_a_passed_bottom_interval():
-    # vertex 1 fails the whole-set test; its edge [1, 3] lies in no square
-    # over 1, and only the one top 3 stored for vertex 0 shows it is no
-    # maximal cube
-    table = census._scan(M3_ON_A_SQUARE)
-    assert table[0] == 3 and isinstance(table[1], dict)
-    assert cube_polynomial(M3_ON_A_SQUARE) == IntPoly([7, 9, 1])
-    assert maximal_cube_polynomial(M3_ON_A_SQUARE) == IntPoly([0, 5, 1])
-    assert_scan_matches_reference(M3_ON_A_SQUARE)
+@pytest.mark.parametrize("lattice, passed, failed", [
+    (stacked(TWO_SUBSETS, 2), 1, 2),
+    (stacked(FAKE_CUBE, 2), 1, 2),
+    (stacked(SPARE_VERTEX, 2), 1, 2),
+    # the edge [1, 3] lies in no square over 1; only the one top 3 stored
+    # for vertex 0 shows that it is no maximal cube
+    (M3_ON_A_SQUARE, 0, 1),
+], ids=[f"stacked-{i}" for i in NOT_BOOLEAN_IDS] + ["m3-on-a-square"])
+def test_a_failed_bottom_reads_the_one_top_of_a_passed_bottom_below_it(lattice, passed, failed):
+    # the failed bottom's facet test reads the int entry of a vertex it covers
+    table = census._scan(lattice)
+    assert passed in lattice.down_adj[failed]
+    assert isinstance(table[passed], int) and isinstance(table[failed], dict)
+    assert_scan_matches_reference(lattice)
 
 
 @pytest.mark.parametrize("lattice", [BOWTIE, STACKED_BOWTIE], ids=["bowtie", "stacked-bowtie"])
