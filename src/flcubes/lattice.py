@@ -1,17 +1,19 @@
-"""Hasse diagrams of finite distributive lattices.
+"""Hasse diagrams of finite graded posets with a least and a greatest element.
 
-A diagram is a digraph on ranked vertices: arc (u, v) means u covers v, so
-arcs point from covering element down to covered element.  A diagram stores
-one adjacency, the vertices covering each vertex; the reverse lists, the arc
-set and the order masks are derived from it.  Filter lattices are built from
-posets; convex expansion duplicates a cutting interval.
+Filter lattices of posets, their intervals and their convex expansions are
+distributive lattices; a diagram may also hold any other bounded graded
+order, such as the lattice M3.  A diagram is a digraph on ranked vertices:
+arc (u, v) means u covers v, so arcs point from covering element down to
+covered element.  A diagram stores one adjacency, the vertices covering
+each vertex; the reverse lists, the arc set and the order masks are derived
+from it.  Filter lattices are built from posets; convex expansion
+duplicates a cutting interval.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
 
 from .errors import CapacityError
 from .poset import Poset
@@ -198,46 +200,6 @@ def filter_lattice(poset: Poset) -> LatticeDiagram:
     return LatticeDiagram(tuple(fs), up_adj, ranks, poset.elements)
 
 
-def _diagram_from_order(payloads: Sequence, leq: Callable[[int, int], bool]) -> LatticeDiagram:
-    """Build a diagram from an order oracle on 0..m-1.
-
-    Computes the strict-order masks, rejects non-antisymmetric input, takes
-    the transitive reduction, ranks vertices by longest chain from the
-    minimum, and returns vertices sorted by (rank, original index).
-    """
-    m = len(payloads)
-    below = [0] * m
-    above = [0] * m
-    for i in range(m):
-        for j in range(m):
-            if i != j and leq(j, i):
-                if leq(i, j):
-                    raise ValueError("order oracle is not antisymmetric")
-                below[i] |= 1 << j
-                above[j] |= 1 << i
-    ups: list[list[int]] = [[] for _ in range(m)]
-    for i in range(m):
-        rest = below[i]
-        while rest:
-            low = rest & -rest
-            j = low.bit_length() - 1
-            rest ^= low
-            if not (below[i] & above[j]):
-                ups[j].append(i)
-    # rank by longest descending chain, pushed up in order of down-set size
-    rank = [0] * m
-    for v in sorted(range(m), key=lambda v: below[v].bit_count()):
-        for u in ups[v]:
-            rank[u] = max(rank[u], rank[v] + 1)
-    order = sorted(range(m), key=lambda v: (rank[v], v))
-    newpos = {v: p for p, v in enumerate(order)}
-    return LatticeDiagram(
-        tuple(payloads[v] for v in order),
-        tuple(tuple(newpos[u] for u in ups[v]) for v in order),
-        tuple(rank[v] for v in order),
-    )
-
-
 def interval_diagram(host: LatticeDiagram, interval: Interval) -> LatticeDiagram:
     """The interval as a standalone diagram, re-ranked from its own bottom."""
     members = host.interval_members(interval)
@@ -278,33 +240,47 @@ def is_cutting(host: LatticeDiagram, interval: Interval) -> bool:
 def convex_expansion(host: LatticeDiagram, interval: Interval) -> LatticeDiagram:
     """Duplicate a cutting interval and interleave the copy below it.
 
-    With K the interval and K' its copy, the expanded order is: the host
-    order within the host; the K order within K'; w' <= v whenever w <= v in
-    the host; and u < w' whenever u < w in the host and u is not above K's
-    bottom.  The last proviso keeps originals inside the up-region of the
-    interval incomparable to copies above them, which matches splitting a
-    filter lattice at one poset element (copies play the filters containing
-    that element).  Cover pairs are recomputed by transitive reduction.
+    With K = [b, t] the interval and w' the copy of w in K, the expanded
+    order is: the host order within the host; the K order within K'; w' <= v
+    whenever w <= v in the host; and u < w' whenever u < w in the host and
+    not b <= u.  The last proviso keeps originals inside the up-region
+    of the interval incomparable to copies above them, which matches
+    splitting a filter lattice at one poset element (copies play the filters
+    containing that element).
+
+    The covers are read from the host's.  w covers w', and w2' covers w1'
+    when w2 covers w1 in K.  A host cover of v by u, with u in K and not
+    b <= v, becomes a cover of v by u'; every other host cover stays.  A
+    host vertex v with b <= v rises one rank, the others keep theirs,
+    and w' takes rank(w).  This follows from the four order rules given one
+    fact about cuttings: no host vertex outside the up-set of b is covered
+    by a vertex of that up-set outside K.  Nothing above such a cover lies
+    in K, as K is convex, and nothing below it does, so a maximal chain
+    through it would miss K.  The ranks therefore stay consistent, and
+    ``LatticeDiagram``'s validation refuses any cover that breaks them.
+
+    Vertices are ``L{i}`` for host vertex i, then ``K{k}`` for the copy of
+    the k-th vertex of K in ascending host index, stably sorted by rank.
     """
     if not is_cutting(host, interval):
         raise ValueError("interval is not a cutting; expansion would not be graded")
     members = sorted(host.interval_members(interval))
     n = len(host)
-    kbottom = interval.bottom
-
-    def leq2(i: int, j: int) -> bool:
-        ic, jc = i >= n, j >= n
-        u = members[i - n] if ic else i
-        v = members[j - n] if jc else j
-        if ic == jc:
-            return host.leq(u, v)
-        if ic:  # copy below original
-            return host.leq(u, v)
-        # original below copy: only from strictly below the interval's up-region
-        return u != v and host.leq(u, v) and not host.leq(kbottom, u)
-
-    payloads = [f"L{i}" for i in range(n)] + [f"K{i}" for i in range(len(members))]
-    return _diagram_from_order(payloads, leq2)
+    copy = {w: n + k for k, w in enumerate(members)}
+    raised = [host.leq(interval.bottom, v) for v in range(n)]
+    ups = [
+        [copy[u] if u in copy and not raised[v] else u for u in host.up_adj[v]]
+        for v in range(n)
+    ] + [[w] + [copy[u] for u in host.up_adj[w] if u in copy] for w in members]
+    rank = [r + up for r, up in zip(host.ranks, raised)] + [host.ranks[w] for w in members]
+    order = sorted(range(len(rank)), key=lambda v: (rank[v], v))
+    newpos = {v: p for p, v in enumerate(order)}
+    payloads = [f"L{i}" for i in range(n)] + [f"K{k}" for k in range(len(members))]
+    return LatticeDiagram(
+        tuple(payloads[v] for v in order),
+        tuple(tuple(newpos[u] for u in ups[v]) for v in order),
+        tuple(rank[v] for v in order),
+    )
 
 
 def deletion_cutting(poset: Poset, x: int) -> tuple[LatticeDiagram, Interval]:
@@ -373,11 +349,8 @@ def iso_check(a: LatticeDiagram, b: LatticeDiagram) -> bool:
     candidates: dict[int, list[int]] = {}
     for v in range(len(b)):
         candidates.setdefault(col_b[v], []).append(v)
-    cand_of = []
-    for v in range(len(a)):
-        cand_of.append(candidates.get(col_a[v], []))
-        if not cand_of[v]:
-            return False
+    # refinement returns only equal colour multisets, so no list is empty
+    cand_of = [candidates[col_a[v]] for v in range(len(a))]
 
     order = sorted(range(len(a)), key=lambda v: (len(cand_of[v]), a.ranks[v], v))
     mapping = [-1] * len(a)

@@ -64,6 +64,29 @@ def reduced_poset(n: int, relations: set[tuple[int, int]]) -> Poset:
     return Poset(labels, frozenset(covers))
 
 
+def naturally_labelled_posets(n):
+    """Every poset on 1..n in which i below j implies i < j, each once.
+
+    Element j's strict down-set is any down-closed subset of 1..j-1, so the
+    posets are built one element at a time from bitmasks of those subsets."""
+    downs_of = [()]
+    for j in range(n):
+        downs_of = [
+            downs + (d,)
+            for downs in downs_of
+            for d in range(1 << j)
+            if all(not d >> i & 1 or downs[i] & ~d == 0 for i in range(j))
+        ]
+    for downs in downs_of:
+        covers = {
+            (j + 1, i + 1)
+            for j, d in enumerate(downs)
+            for i in range(j)
+            if d >> i & 1 and not any(downs[k] >> i & 1 for k in range(j) if d >> k & 1)
+        }
+        yield Poset(tuple(range(1, n + 1)), frozenset(covers))
+
+
 @st.composite
 def posets(draw, max_size: int = 6):
     n = draw(st.integers(min_value=0, max_value=max_size))

@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden_tables
-from conftest import BOWTIE, M3, lattice_from_covers, posets, reduced_poset
+from conftest import (
+    BOWTIE,
+    M3,
+    lattice_from_covers,
+    naturally_labelled_posets,
+    posets,
+    reduced_poset,
+)
 from flcubes import census, tables
 from flcubes.census import (
     cube_polynomial,
@@ -602,29 +609,6 @@ def test_native_census_matches_diagram_census(build):
 @settings(max_examples=80, deadline=None)
 def test_native_census_matches_diagram_census_on_random_posets(p):
     assert_native_matches_diagram(p)
-
-
-def naturally_labelled_posets(n):
-    """Every poset on 1..n in which i below j implies i < j, each once.
-
-    Element j's strict down-set is any down-closed subset of 1..j-1, so the
-    posets are built one element at a time from bitmasks of those subsets."""
-    downs_of = [()]
-    for j in range(n):
-        downs_of = [
-            downs + (d,)
-            for downs in downs_of
-            for d in range(1 << j)
-            if all(not d >> i & 1 or downs[i] & ~d == 0 for i in range(j))
-        ]
-    for downs in downs_of:
-        covers = {
-            (j + 1, i + 1)
-            for j, d in enumerate(downs)
-            for i in range(j)
-            if d >> i & 1 and not any(downs[k] >> i & 1 for k in range(j) if d >> k & 1)
-        }
-        yield Poset(tuple(range(1, n + 1)), frozenset(covers))
 
 
 @pytest.mark.parametrize("n, count", enumerate([1, 1, 2, 7, 40, 357, 4824]))

@@ -1,11 +1,21 @@
 import hashlib
+import time
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import BOWTIE, M3, lattice_from_covers, mask_of, members, posets
+from conftest import (
+    BOWTIE,
+    M3,
+    lattice_from_covers,
+    mask_of,
+    members,
+    naturally_labelled_posets,
+    posets,
+)
 from flcubes import poset as poset_module
-from flcubes.census import rank_polynomial
+from flcubes import tables
+from flcubes.census import cube_polynomial, rank_polynomial
 from flcubes.errors import CapacityError
 from flcubes.lattice import (
     Interval,
@@ -331,6 +341,113 @@ def test_deletion_expansion_rebuilds_filter_lattice(p):
         expanded = convex_expansion(host, interval)
         assert len(expanded) == len(full)
         assert iso_check(expanded, full)
+
+
+# -- convex expansion against its order rules -----------------------------------
+
+
+def reference_expansion(host, interval):
+    """The expansion from the four order rules in ``convex_expansion``'s docstring.
+
+    Points are (host vertex, is copy) pairs compared pair by pair; x is
+    covered by y when x < y with no point strictly between, and a point's
+    rank is the length of the longest cover chain below it.  Returns the
+    payloads, ``up_adj`` and ranks in (rank, point index) order, host
+    vertices first and copies in ascending host index.
+    """
+    n, b = len(host), interval.bottom
+    points = [(v, False) for v in range(n)]
+    points += [(w, True) for w in sorted(host.interval_members(interval))]
+
+    def less(x, y):
+        (u, u_copy), (v, v_copy) = x, y
+        if x == y:
+            return False
+        if v_copy and not u_copy:  # an original lies below a copy only from outside up(b)
+            return u != v and host.leq(u, v) and not host.leq(b, u)
+        return host.leq(u, v)
+
+    below = [{i for i, x in enumerate(points) if less(x, y)} for y in points]
+    covered = [{i for i in down if not any(i in below[k] for k in down)} for down in below]
+    rank = [0] * len(points)
+    for j in sorted(range(len(points)), key=lambda j: len(below[j])):
+        rank[j] = max((rank[i] + 1 for i in covered[j]), default=0)
+    order = sorted(range(len(points)), key=lambda j: (rank[j], j))
+    pos = {j: p for p, j in enumerate(order)}
+    return (
+        tuple(f"K{j - n}" if j >= n else f"L{j}" for j in order),
+        tuple(tuple(sorted(pos[j] for j in order if i in covered[j])) for i in order),
+        tuple(rank[j] for j in order),
+    )
+
+
+def assert_expansion_matches_reference(host, interval):
+    expanded = convex_expansion(host, interval)
+    assert (expanded.vertices, expanded.up_adj, expanded.ranks) == reference_expansion(host, interval)
+
+
+def cutting_intervals(d):
+    """Every interval of ``d`` that is a cutting."""
+    pairs = (Interval(u, v) for u in range(len(d)) for v in range(len(d)) if d.leq(u, v))
+    return [interval for interval in pairs if is_cutting(d, interval)]
+
+
+@given(posets())
+@settings(max_examples=60, deadline=None)
+def test_expansion_matches_order_rules_on_random_deletion_cuttings(p):
+    for x in p.elements:
+        assert_expansion_matches_reference(*deletion_cutting(p, x))
+
+
+@pytest.mark.parametrize("build, count", [
+    (fence, 124),
+    (lambda n: fence(n).dual(), 124),
+], ids=["fence", "dual-fence"])
+def test_expansion_matches_order_rules_on_every_cutting_of_small_fences(build, count):
+    cases = 0
+    for n in range(7):
+        host = filter_lattice(build(n))
+        for interval in cutting_intervals(host):
+            assert_expansion_matches_reference(host, interval)
+            cases += 1
+    assert cases == count
+
+
+@pytest.mark.parametrize("host, count", [
+    (filter_lattice(Poset((1, 2), frozenset())), 7),
+    (M3, 9),
+    (BOWTIE, 11),
+], ids=["diamond", "m3", "bowtie"])
+def test_expansion_matches_order_rules_on_every_cutting_of_small_lattices(host, count):
+    cuttings = cutting_intervals(host)
+    for interval in cuttings:
+        assert_expansion_matches_reference(host, interval)
+    assert len(cuttings) == count
+
+
+@pytest.mark.slow
+def test_expansion_matches_order_rules_on_every_deletion_cutting_up_to_six_elements():
+    # every element of each naturally labelled poset on at most 6 elements
+    cases = 0
+    for n in range(7):
+        for p in naturally_labelled_posets(n):
+            for x in p.elements:
+                assert_expansion_matches_reference(*deletion_cutting(p, x))
+                cases += 1
+    assert cases == 30915
+
+
+def test_expansion_is_linear_in_the_host():
+    # 5 168 vertices, past iso_check's bound, so the polynomials stand in for it
+    host, interval = deletion_cutting(sfence(18), 18)
+    start = time.perf_counter()
+    expanded = convex_expansion(host, interval)
+    elapsed = time.perf_counter() - start
+    direct = tables.phi_diagram(18)
+    assert len(expanded) == len(direct) == 5168
+    assert rank_polynomial(expanded) == rank_polynomial(direct)
+    assert cube_polynomial(expanded) == cube_polynomial(direct)
+    assert elapsed < 2.0, f"expansion took {elapsed:.2f} s"
 
 
 # -- underlying graph -----------------------------------------------------------
