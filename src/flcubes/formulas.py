@@ -289,6 +289,22 @@ def coeff_by_recurrence(family: str, n: int, k: int) -> int:
     rank-odd (the last two recurse on the half-index).  Indices below the
     empirically validated start raise a range error naming the family.
     Rows are stepped up from the seeds and kept as in ``poly_by_recurrence``.
+    A kept row at or past the validated start is returned before any other
+    work; kept rows below that start (seeds) are still refused.
+    """
+    start, rows, _ = _COEFF_ROWS.get(family) or (n + 1, (), ())
+    if not (start <= n < start + len(rows) and n >= VALIDATED_FROM[family]):
+        start, rows = _step_coeff_rows(family, n)
+    row = rows[n - start]
+    return row[k] if 0 <= k < len(row) else 0
+
+
+def _step_coeff_rows(family: str, n: int) -> tuple[int, list[list[int]]]:
+    """Check ``family`` and n, and step its kept rows until they hold row n.
+
+    Kept apart from ``coeff_by_recurrence`` because the stepping closes over
+    ``rows`` and ``start``, which would make every lookup there read them
+    through cells.
     """
     if family not in VALIDATED_FROM:
         raise ValueError(f"unknown family {family!r}")
@@ -296,16 +312,14 @@ def coeff_by_recurrence(family: str, n: int, k: int) -> int:
     if n < lo:
         raise ValueError(f"{family} coefficient recurrence is validated for n >= {lo}, got {n}")
     start, rows, terms = _COEFF_ROWS.get(family) or (n + 1, [], [])
-    if not start <= n < start + len(rows):
-        rec = COEFF_RECURRENCES[family]
-        if n < start:
-            key, size, shift = (family, 1, 0) if rec.half is None else ("rank", 2, rec.half)
-            start, terms = rec.seeds[0], stated_terms(rec.statement)
-            rows = [list(poset_census(sfence(size * i + shift))[key].coeffs) for i in rec.seeds]
-        while start + len(rows) <= n:
-            rows.append(stated_step(terms, start + len(rows), lambda i: rows[i - start]))
-            del rows[0]
-            start += 1
-        _COEFF_ROWS[family] = (start, rows, terms)
-    row = rows[n - start]
-    return row[k] if 0 <= k < len(row) else 0
+    rec = COEFF_RECURRENCES[family]
+    if n < start:
+        key, size, shift = (family, 1, 0) if rec.half is None else ("rank", 2, rec.half)
+        start, terms = rec.seeds[0], stated_terms(rec.statement)
+        rows = [list(poset_census(sfence(size * i + shift))[key].coeffs) for i in rec.seeds]
+    while start + len(rows) <= n:
+        rows.append(stated_step(terms, start + len(rows), lambda i: rows[i - start]))
+        del rows[0]
+        start += 1
+    _COEFF_ROWS[family] = (start, rows, terms)
+    return start, rows

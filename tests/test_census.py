@@ -1,9 +1,11 @@
 import gc
 import random
+import time
 import weakref
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import golden_tables
@@ -581,6 +583,94 @@ def test_generic_capacity():
         generic_cube_count((frozenset(),), 4)
 
 
+def reference_cube_count(graph, k):
+    """Induced k-cubes by plain subset search: every set of 2^k vertices in
+    which each vertex has k neighbours, tried against every labelling by the
+    cube's 2^k labels with backtracking."""
+    n, size = len(graph), 1 << k
+    order = sorted(range(size), key=lambda t: (t.bit_count(), t))
+    count = 0
+    for sub in combinations(range(n), size):
+        if any(len(graph[v] & set(sub)) != k for v in sub):
+            continue
+        mapping = {}
+
+        def place(i):
+            if i == size:
+                return True
+            t = order[i]
+            for v in sub:
+                if v not in mapping.values() and all(
+                    ((t ^ s).bit_count() == 1) == (w in graph[v]) for s, w in mapping.items()
+                ):
+                    mapping[t] = v
+                    if place(i + 1):
+                        return True
+                    del mapping[t]
+            return False
+
+        count += place(0)
+    return count
+
+
+def graph_of(n, edges):
+    neighbours = [set() for _ in range(n)]
+    for u, v in edges:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    return tuple(map(frozenset, neighbours))
+
+
+@st.composite
+def graphs(draw, max_size=10):
+    n = draw(st.integers(0, max_size))
+    pairs = list(combinations(range(n), 2))
+    return graph_of(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+
+
+def assert_generic_matches_reference(graph):
+    for k in range(4):
+        assert generic_cube_count(graph, k) == reference_cube_count(graph, k), k
+
+
+@given(graphs())
+@example(graph_of(0, []))
+@example(graph_of(10, []))
+@example(graph_of(8, combinations(range(8), 2)))
+@example(graph_of(10, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4), (8, 9)]))
+@settings(max_examples=150, deadline=None)
+def test_generic_matches_subset_search_on_random_graphs(graph):
+    # empty, complete and disconnected graphs among them: two squares and an edge
+    assert_generic_matches_reference(graph)
+
+
+@pytest.mark.parametrize(
+    "lattice",
+    [M3, TWO_SUBSETS, FAKE_CUBE, SPARE_VERTEX, M3_ON_A_SQUARE],
+    ids=["m3"] + NOT_BOOLEAN_IDS + ["m3-on-a-square"],
+)
+def test_generic_matches_subset_search_on_non_boolean_lattices(lattice):
+    assert_generic_matches_reference(underlying_graph(lattice))
+
+
+def cube_graph(k, offset=0):
+    return [frozenset(offset + (v ^ 1 << i) for i in range(k)) for v in range(1 << k)]
+
+
+@pytest.mark.parametrize("graph, counts", [
+    (tuple(cube_graph(4) + cube_graph(3, 16) + [frozenset()] * 6), [30, 44, 30, 9]),
+    (tuple([frozenset(range(15, 30))] * 15 + [frozenset(range(15))] * 15), [30, 225, 11025, 0]),
+], ids=["q4-q3-isolated", "k15-15"])
+def test_generic_runs_within_its_bound(graph, counts):
+    # 30 vertices, the oracle's bound: Q4 has 16 + 32 + 24 + 8 induced cubes
+    # and Q3 8 + 12 + 6 + 1; K_{15,15} has C(15, 2)^2 induced squares and no cube
+    assert len(graph) == census.GENERIC_GRAPH_BOUND
+    start = time.perf_counter()
+    assert [generic_cube_count(graph, k) for k in range(4)] == counts
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, f"the subgraph search took {elapsed:.2f} s"
+
+
 def test_census_works_on_diamond():
     diamond = filter_lattice(Poset((1, 2), frozenset()))
     assert cube_polynomial(diamond) == IntPoly([4, 4, 1])
@@ -613,11 +703,26 @@ def test_native_census_matches_diagram_census_on_random_posets(p):
 
 @pytest.mark.parametrize("n, count", enumerate([1, 1, 2, 7, 40, 357, 4824]))
 def test_native_census_matches_diagram_census_on_every_small_poset(n, count):
-    # OEIS A006455 counts the naturally labelled posets
+    # OEIS A006455 counts the naturally labelled posets; n <= 4 has the
+    # native census's narrowest chunks, of 0, 1 and 2 elements, some empty
     corpus = list(naturally_labelled_posets(n))
     assert len(corpus) == count
     for poset in corpus:
         assert_native_matches_diagram(poset)
+
+
+def chain_beside_antichain(length, width):
+    chain = [(i + 1, i) for i in range(1, length)]
+    return Poset(tuple(range(1, length + width + 1)), frozenset(chain))
+
+
+@pytest.mark.parametrize("length, width, filters", [(32, 0, 33), (28, 4, 464)],
+                         ids=["chain-32", "chain-28-antichain-4"])
+def test_native_census_matches_diagram_census_at_the_element_bound(length, width, filters):
+    # 32 elements, the enumeration bound: three chunks of 11, 11 and 10
+    poset = chain_beside_antichain(length, width)
+    assert len(poset) == 32 and poset.count_filters() == filters
+    assert_native_matches_diagram(poset)
 
 
 @pytest.mark.slow

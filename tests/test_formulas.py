@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 import golden_tables
 from flcubes.formulas import (
+    COEFF_RECURRENCES,
     VALIDATED_FROM,
     binom,
     coeff_by_recurrence,
@@ -306,6 +307,17 @@ def test_coeff_recurrence_range_errors():
         coeff_by_recurrence("rank-even", 3, 0)
     with pytest.raises(ValueError):
         coeff_by_recurrence("nonsense", 9, 0)
+
+
+def test_coeff_recurrence_refuses_the_seed_rows_it_keeps():
+    # after the first validated row the kept rows still reach back to seeds,
+    # which stay refused with the same message
+    for family, lo in VALIDATED_FROM.items():
+        coeff_by_recurrence(family, lo, 0)
+        for n in COEFF_RECURRENCES[family].seeds:
+            with pytest.raises(ValueError, match=f"^{family} coefficient recurrence is "
+                               f"validated for n >= {lo}, got {n}$"):
+                coeff_by_recurrence(family, n, 0)
 
 
 # -- the three range errata ----------------------------------------------------------
