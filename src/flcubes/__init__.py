@@ -43,7 +43,7 @@ from .lattice import (
     filter_lattice,
     interval_diagram,
     is_cutting,
-    iso_check,
+    join_irreducibles,
     to_dot,
     underlying_graph,
 )

@@ -7,7 +7,8 @@ arc (u, v) means u covers v, so arcs point from covering element down to
 covered element.  A diagram stores one adjacency, the vertices covering
 each vertex; the reverse lists, the arc set and the order masks are derived
 from it.  Filter lattices are built from posets; convex expansion
-duplicates a cutting interval.
+duplicates a cutting interval.  ``join_irreducibles`` certifies a distributive
+lattice and returns the poset that determines it (Birkhoff's theorem).
 """
 
 from __future__ import annotations
@@ -15,10 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import CapacityError
 from .poset import Poset
-
-ISO_VERTEX_BOUND = 200
 
 
 @dataclass(frozen=True)
@@ -324,107 +322,39 @@ def to_dot(diagram: LatticeDiagram) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- isomorphism ---------------------------------------------------------------
+# -- distributivity certificate --------------------------------------------------
 
 
-def iso_check(a: LatticeDiagram, b: LatticeDiagram) -> bool:
-    """Rank-preserving digraph isomorphism test for desk-scale diagrams.
+def join_irreducibles(diagram: LatticeDiagram) -> Poset | None:
+    """The poset J of join-irreducibles if the diagram is a distributive lattice, else None.
 
-    Vertices are first refined by (rank, indegree, outdegree) colours,
-    iterating neighbourhood colour multisets; backtracking then matches
-    colour classes.  Deterministic, and limited to 200 vertices per side.
+    J is the vertices with one lower cover, ordered as in the diagram.  With
+    phi(x) the elements of J at or below x, J is returned only when phi is
+    injective, every cover adds one element to phi, and the diagram has as
+    many vertices and arcs as the lattice of down-sets of J.  Then phi is an
+    isomorphism onto that lattice's Hasse diagram; no lattice property is
+    assumed.  By Birkhoff's theorem two such diagrams are isomorphic exactly
+    when their J are, and the filter lattice of a poset P gives J ≅ P.  The
+    down-sets are counted as their complements, the filters of J, so a J
+    past the bounds of ``Poset.filter_masks`` raises CapacityError.
     """
-    if len(a) > ISO_VERTEX_BOUND or len(b) > ISO_VERTEX_BOUND:
-        raise CapacityError(f"iso_check supports at most {ISO_VERTEX_BOUND} vertices")
-    if len(a) != len(b) or len(a.arcs) != len(b.arcs):
-        return False
-    if sorted(a.ranks) != sorted(b.ranks):
-        return False
-
-    colours = _refine_colours(a, b)
-    if colours is None:
-        return False
-    col_a, col_b = colours
-
-    candidates: dict[int, list[int]] = {}
-    for v in range(len(b)):
-        candidates.setdefault(col_b[v], []).append(v)
-    # refinement returns only equal colour multisets, so no list is empty
-    cand_of = [candidates[col_a[v]] for v in range(len(a))]
-
-    order = sorted(range(len(a)), key=lambda v: (len(cand_of[v]), a.ranks[v], v))
-    mapping = [-1] * len(a)
-    used = [False] * len(b)
-    up_a, dn_a = a.up_adj, a.down_adj
-    arcs_b = b.arcs
-
-    def consistent(v: int, w: int) -> bool:
-        for u in up_a[v]:
-            if mapping[u] != -1 and (mapping[u], w) not in arcs_b:
-                return False
-        for u in dn_a[v]:
-            if mapping[u] != -1 and (w, mapping[u]) not in arcs_b:
-                return False
-        # arc counts per vertex already agree through the colouring, so
-        # matching all mapped neighbours rules out extra arcs on the b side
-        return True
-
-    def backtrack(idx: int) -> bool:
-        if idx == len(order):
-            return True
-        v = order[idx]
-        for w in cand_of[v]:
-            if not used[w] and consistent(v, w):
-                mapping[v] = w
-                used[w] = True
-                if backtrack(idx + 1):
-                    return True
-                mapping[v] = -1
-                used[w] = False
-        return False
-
-    if not backtrack(0):
-        return False
-    # mapped neighbour checks cover every arc once all vertices are assigned
-    return True
-
-
-def _refine_colours(a: LatticeDiagram, b: LatticeDiagram):
-    """Joint colour refinement; returns per-diagram colour lists or None."""
-    intern: dict = {}
-
-    def colour_of(key) -> int:
-        if key not in intern:
-            intern[key] = len(intern)
-        return intern[key]
-
-    def initial(d: LatticeDiagram) -> list[int]:
-        return [
-            colour_of((d.ranks[v], len(d.up_adj[v]), len(d.down_adj[v])))
-            for v in range(len(d))
-        ]
-
-    def step(d: LatticeDiagram, col: list[int]) -> list[int]:
-        return [
-            colour_of(
-                (
-                    col[v],
-                    tuple(sorted(col[u] for u in d.up_adj[v])),
-                    tuple(sorted(col[u] for u in d.down_adj[v])),
-                )
-            )
-            for v in range(len(d))
-        ]
-
-    col_a, col_b = initial(a), initial(b)
-    for _ in range(len(a.vertices)):
-        if sorted(col_a) != sorted(col_b):
-            return None
-        next_a, next_b = step(a, col_a), step(b, col_b)
-        stable = len(set(next_a)) == len(set(col_a))
-        col_a, col_b = next_a, next_b
-        if stable:
-            break
-    if sorted(col_a) != sorted(col_b):
+    down, lower = diagram.down_masks, diagram.down_adj
+    own = {v: down[v] ^ down[c[0]] for v, c in enumerate(lower) if len(c) == 1}
+    j_mask = sum(own.values())
+    phi = [m & j_mask for m in down]
+    if len(set(phi)) < len(diagram) or any(
+        (phi[u] ^ phi[v]).bit_count() != 1 for v, ups in enumerate(diagram.up_adj) for u in ups
+    ):
         return None
-    return col_a, col_b
+    # j's covers in J are the elements that the lower covers of its one lower
+    # cover drop; a cover missed here adds down-sets, which the counts refuse
+    vertex = {b: v for v, b in own.items()}
+    covers = {(j, vertex[phi[lower[j][0]] ^ phi[w]]) for j in own for w in lower[lower[j][0]]}
+    poset = Poset(tuple(own), frozenset(covers))
+    filters = poset.filter_masks()
+    # each filter covers one filter per minimal element, which it drops
+    lows = poset._strict_down
+    arcs = sum(1 for f in filters for e, d in enumerate(lows) if f >> e & 1 and not d & f)
+    if len(filters) != len(diagram) or arcs != len(diagram.arcs):
+        return None
+    return poset

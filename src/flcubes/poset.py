@@ -207,6 +207,59 @@ class Poset:
         """Number of filters, by :meth:`filter_masks` with the same bounds."""
         return len(self.filter_masks())
 
+    # -- isomorphism -------------------------------------------------------------
+
+    def is_isomorphic(self, other: "Poset") -> bool:
+        """True iff some bijection of the ground sets carries this order onto ``other``'s.
+
+        Elements are coloured by their numbers of strictly greater and smaller
+        elements, refined once by the colours above and below them.  A
+        backtracking search maps one element at a time, next the one related
+        to most of those mapped, onto a partner of its colour whose relations
+        to the mapped partners match.  It recurses once per element, so it
+        refuses more than ``FILTER_ENUM_BOUND`` elements.
+        """
+        n = len(self.elements)
+        if max(n, len(other)) > FILTER_ENUM_BOUND:
+            raise CapacityError(f"poset isomorphism supports at most {FILTER_ENUM_BOUND} elements")
+        mine, theirs = self._colours(), other._colours()
+        if sorted(mine) != sorted(theirs):
+            return False
+        up, down = self._strict_up, self._strict_down
+        up2, down2 = other._strict_up, other._strict_down
+        order, placed = [], 0
+        for _ in range(n):
+            free = (v for v in range(n) if not placed >> v & 1)
+            order.append(max(free, key=lambda v: ((up[v] | down[v]) & placed).bit_count()))
+            placed |= 1 << order[-1]
+        image = [0] * n
+
+        def extend(i: int, used: int) -> bool:
+            if i == n:
+                return True
+            v = order[i]
+            for w in range(n):
+                if not used >> w & 1 and theirs[w] == mine[v] and all(
+                    up[v] >> u & 1 == up2[w] >> image[u] & 1
+                    and down[v] >> u & 1 == down2[w] >> image[u] & 1
+                    for u in order[:i]
+                ):
+                    image[v] = w
+                    if extend(i + 1, used | 1 << w):
+                        return True
+            return False
+
+        return extend(0, 0)
+
+    def _colours(self) -> list[tuple]:
+        pairs = list(zip(self._strict_up, self._strict_down))
+        counts = [(u.bit_count(), d.bit_count()) for u, d in pairs]
+
+        def around(mask: int) -> tuple:
+            return tuple(sorted(c for i, c in enumerate(counts) if mask >> i & 1))
+
+        return [(c, around(u), around(d)) for c, (u, d) in zip(counts, pairs)]
+
 
 # -- standard posets -------------------------------------------------------
 

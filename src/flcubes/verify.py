@@ -2,7 +2,8 @@
 
 Every check compares two independent routes to the same numbers: census
 against recurrence, recurrence against closed form, formula against
-generating function, structure against expansion.  Known range errata of
+generating function, structure against expansion, the last through
+posets of join-irreducibles (Birkhoff's theorem).  Known range errata of
 three coefficient recurrences are probed explicitly and reported as
 erratum records, which never fail a run but are always printed.
 """
@@ -28,11 +29,10 @@ from .genfun import ALL_SERIES
 from .lattice import (
     Interval,
     convex_expansion,
-    deletion_cutting,
     filter_lattice,
     interval_diagram,
     is_cutting,
-    iso_check,
+    join_irreducibles,
     underlying_graph,
 )
 from .polynomials import IntPoly
@@ -292,7 +292,7 @@ def _expansion_checks(
     report.check(
         f"{tag}: expansion is isomorphic to the direct construction",
         scope,
-        iso_check(expanded, expect),
+        _isomorphic(expanded, expect),
         "no rank-preserving isomorphism found",
     )
 
@@ -311,7 +311,7 @@ def _structural(report: VerificationReport, hi: int) -> None:
         report.check(
             "dual-fence split: cutting matches the short fence lattice",
             f"n={n}",
-            iso_check(part, filter_lattice(fence(n - 4))),
+            _isomorphic(part, filter_lattice(fence(n - 4))),
             "cutting is not the expected fence lattice",
         )
         _expansion_checks(
@@ -324,12 +324,12 @@ def _structural(report: VerificationReport, hi: int) -> None:
             tables.phi_diagram(n),
         )
     for n in range(6, hi + 1):
-        host, interval = deletion_cutting(sfence(n), n)
+        host, interval = _last_element_split(n)
         part = interval_diagram(host, interval)
         report.check(
             "last-element split: cutting matches the smaller cube",
             f"n={n}",
-            iso_check(part, tables.phi_diagram(n - 2)),
+            _isomorphic(part, tables.phi_diagram(n - 2)),
             "cutting is not the expected smaller cube",
         )
         _expansion_checks(
@@ -341,6 +341,20 @@ def _structural(report: VerificationReport, hi: int) -> None:
             part,
             tables.phi_diagram(n),
         )
+
+
+def _last_element_split(n: int):
+    """``deletion_cutting(sfence(n), n)`` on the cached host: S-fence n minus n is S-fence n - 1."""
+    poset = sfence(n)
+    host = tables.phi_diagram(n - 1)
+    bottom = host.find_filter(set(range(1, n)) - poset.down_set(n))
+    return host, Interval(bottom, host.find_filter(poset.up_set(n)))
+
+
+def _isomorphic(a, b) -> bool:
+    """True iff both diagrams certify as distributive, with isomorphic join-irreducibles."""
+    ja, jb = join_irreducibles(a), join_irreducibles(b)
+    return ja is not None and jb is not None and ja.is_isomorphic(jb)
 
 
 def _conexp_counts(report: VerificationReport, hi: int) -> None:

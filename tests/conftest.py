@@ -26,6 +26,37 @@ BOWTIE = lattice_from_covers(
     [(1, 0), (2, 0), (3, 1), (3, 2), (4, 1), (4, 2), (5, 3), (5, 4)],
 )
 
+# a < s1, s2 < x < j and a < s3, s4 < y < j, as vertices 0..7 in that order:
+# {s1, s2, s3} and {s1, s2, s4} both join to j, and [a, j] has 2^3 elements
+# but is no Boolean interval
+TWO_SUBSETS = lattice_from_covers(
+    (0, 1, 1, 1, 1, 2, 2, 3),
+    [(1, 0), (2, 0), (3, 0), (4, 0), (5, 1), (5, 2), (6, 3), (6, 4), (7, 5), (7, 6)],
+)
+
+# three atoms s1, s2, s3 under x = s1 v s3, y = s2 v s3 and z over s1 alone,
+# all under the top: [bottom, top] has rank 3 and 2^3 elements, but s1 v s2
+# is the top, so it is no 3-cube
+FAKE_CUBE = lattice_from_covers(
+    (0, 1, 1, 1, 2, 2, 2, 3),
+    [(1, 0), (2, 0), (3, 0), (4, 1), (4, 3), (5, 2), (5, 3), (6, 1), (7, 4), (7, 5), (7, 6)],
+)
+
+# atoms s1, s2, s3 under s1 v s3, s2 v s3, s1 v s2 and a fourth vertex over s1
+# alone, all under the top: every join of atoms has the rank of a 3-cube, but
+# [bottom, top] has 9 elements
+SPARE_VERTEX = lattice_from_covers(
+    (0, 1, 1, 1, 2, 2, 2, 2, 3),
+    [(1, 0), (2, 0), (3, 0), (4, 1), (4, 3), (5, 2), (5, 3), (6, 1), (7, 1), (7, 2),
+     (8, 4), (8, 5), (8, 6), (8, 7)],
+)
+
+# the square 0 < 1, 2 < 3 with M3 on its atom 1: 1 < 3, 4, 5 < 6 and 2 < 3 < 6
+M3_ON_A_SQUARE = lattice_from_covers(
+    (0, 1, 1, 2, 2, 2, 3),
+    [(1, 0), (2, 0), (3, 1), (3, 2), (4, 1), (5, 1), (6, 3), (6, 4), (6, 5)],
+)
+
 
 def members(elements, mask: int) -> frozenset[int]:
     """The elements a filter bitmask holds, bit i standing for elements[i]."""
@@ -99,3 +130,25 @@ def posets(draw, max_size: int = 6):
         )
     )
     return reduced_poset(n, pairs)
+
+
+@st.composite
+def graded_diagrams(draw, max_width: int = 4):
+    """A random graded diagram: one bottom, one top, one to ``max_width``
+    vertices on each of up to three ranks between, random covers between
+    adjacent ranks, and each vertex covering and covered by something.  Many
+    are not lattices, and most lattices among them are not distributive, so
+    they reach the scan's per-subset rule, which filter lattices never do."""
+    widths = [1, *draw(st.lists(st.integers(1, max_width), max_size=3)), 1]
+    ranks = [r for r, w in enumerate(widths) for _ in range(w)]
+    levels = [[v for v, r in enumerate(ranks) if r == rank] for rank in range(len(widths))]
+    covers = set()
+    for lower, upper in zip(levels, levels[1:]):
+        covers |= draw(st.sets(st.sampled_from([(u, v) for u in upper for v in lower])))
+        for v in lower:
+            if not any((u, v) in covers for u in upper):
+                covers.add((draw(st.sampled_from(upper)), v))
+        for u in upper:
+            if not any((u, v) in covers for v in lower):
+                covers.add((u, draw(st.sampled_from(lower))))
+    return lattice_from_covers(ranks, sorted(covers))

@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 import golden_tables
 from conftest import (
     BOWTIE,
+    FAKE_CUBE,
     M3,
+    M3_ON_A_SQUARE,
+    SPARE_VERTEX,
+    TWO_SUBSETS,
+    graded_diagrams,
     lattice_from_covers,
     naturally_labelled_posets,
     posets,
@@ -35,6 +40,7 @@ from flcubes.lattice import (
     deletion_cutting,
     filter_lattice,
     interval_diagram,
+    join_irreducibles,
     underlying_graph,
 )
 from flcubes.polynomials import IntPoly
@@ -133,23 +139,6 @@ def test_census_on_a_non_distributive_lattice():
     assert generic_cube_count(underlying_graph(M3), 2) == 3
 
 
-# a < s1, s2 < x < j and a < s3, s4 < y < j, as vertices 0..7 in that order:
-# {s1, s2, s3} and {s1, s2, s4} both join to j, and [a, j] has 2^3 elements
-# but is no Boolean interval
-TWO_SUBSETS = lattice_from_covers(
-    (0, 1, 1, 1, 1, 2, 2, 3),
-    [(1, 0), (2, 0), (3, 0), (4, 0), (5, 1), (5, 2), (6, 3), (6, 4), (7, 5), (7, 6)],
-)
-
-# three atoms s1, s2, s3 under x = s1 v s3, y = s2 v s3 and z over s1 alone,
-# all under the top: [bottom, top] has rank 3 and 2^3 elements, but s1 v s2
-# is the top, so it is no 3-cube
-FAKE_CUBE = lattice_from_covers(
-    (0, 1, 1, 1, 2, 2, 2, 3),
-    [(1, 0), (2, 0), (3, 0), (4, 1), (4, 3), (5, 2), (5, 3), (6, 1), (7, 4), (7, 5), (7, 6)],
-)
-
-
 def stacked(lattice, length):
     """``lattice``, whose bottom is vertex 0, on a chain of ``length`` more
     vertices 0..length-1, its bottom becoming vertex ``length``."""
@@ -167,24 +156,7 @@ def test_scan_refuses_a_graded_non_lattice():
         cube_polynomial(BOWTIE)
 
 
-# atoms s1, s2, s3 under s1 v s3, s2 v s3, s1 v s2 and a fourth vertex over s1
-# alone, all under the top: every join of atoms has the rank of a 3-cube, but
-# [bottom, top] has 9 elements
-SPARE_VERTEX = lattice_from_covers(
-    (0, 1, 1, 1, 2, 2, 2, 2, 3),
-    [(1, 0), (2, 0), (3, 0), (4, 1), (4, 3), (5, 2), (5, 3), (6, 1), (7, 1), (7, 2),
-     (8, 4), (8, 5), (8, 6), (8, 7)],
-)
-
-
 NOT_BOOLEAN_IDS = ["two-subsets", "fake-cube", "spare-vertex"]
-
-
-# the square 0 < 1, 2 < 3 with M3 on its atom 1: 1 < 3, 4, 5 < 6 and 2 < 3 < 6
-M3_ON_A_SQUARE = lattice_from_covers(
-    (0, 1, 1, 2, 2, 2, 3),
-    [(1, 0), (2, 0), (3, 1), (3, 2), (4, 1), (5, 1), (6, 3), (6, 4), (6, 5)],
-)
 
 
 @pytest.mark.parametrize("lattice, cube, maxcube, induced", [
@@ -321,28 +293,6 @@ def test_scan_matches_reference_on_an_expansion_and_m3():
 @settings(max_examples=80, deadline=None)
 def test_scan_matches_reference_on_random_posets(p):
     assert_scan_matches_reference(filter_lattice(p))
-
-
-@st.composite
-def graded_diagrams(draw):
-    """A random graded diagram: one bottom, one top, one to four vertices on
-    each of up to three ranks between, random covers between adjacent ranks,
-    and each vertex covering and covered by something.  Many are not
-    lattices, and most lattices among them are not distributive, so they
-    reach the scan's per-subset rule, which filter lattices never do."""
-    widths = [1, *draw(st.lists(st.integers(1, 4), max_size=3)), 1]
-    ranks = [r for r, w in enumerate(widths) for _ in range(w)]
-    levels = [[v for v, r in enumerate(ranks) if r == rank] for rank in range(len(widths))]
-    covers = set()
-    for lower, upper in zip(levels, levels[1:]):
-        covers |= draw(st.sets(st.sampled_from([(u, v) for u in upper for v in lower])))
-        for v in lower:
-            if not any((u, v) in covers for u in upper):
-                covers.add((draw(st.sampled_from(upper)), v))
-        for u in upper:
-            if not any((u, v) in covers for v in lower):
-                covers.add((u, draw(st.sampled_from(lower))))
-    return lattice_from_covers(ranks, sorted(covers))
 
 
 @given(graded_diagrams())
@@ -681,11 +631,13 @@ def test_census_works_on_diamond():
 
 
 def assert_native_matches_diagram(poset):
+    """Compare the native census with the diagram scan; returns the diagram."""
     native = poset_census(poset)
     diagram = filter_lattice(poset)
     assert set(native) == set(tables.FAMILIES)
     for family in tables.FAMILIES:
         assert native[family] == tables.diagram_poly(family, diagram), family
+    return diagram
 
 
 @pytest.mark.parametrize("build", [sfence, fence, lambda n: fence(n).dual()],
@@ -728,10 +680,13 @@ def test_native_census_matches_diagram_census_at_the_element_bound(length, width
 @pytest.mark.slow
 def test_native_census_matches_diagram_census_on_every_seven_element_poset():
     # the 96 428 naturally labelled 7-element posets (OEIS A006455); about a
-    # minute, so it runs as its own CI step rather than in tier-1
+    # minute, so it runs as its own CI step rather than in tier-1.  Each
+    # diagram is also certified distributive, with join-irreducibles
+    # isomorphic to the poset (Birkhoff's round trip)
     count = 0
     for poset in naturally_labelled_posets(7):
-        assert_native_matches_diagram(poset)
+        diagram = assert_native_matches_diagram(poset)
+        assert join_irreducibles(diagram).is_isomorphic(poset)
         count += 1
     assert count == 96428
 

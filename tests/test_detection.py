@@ -5,7 +5,8 @@ from math import comb
 
 import pytest
 
-from flcubes import census, formulas, tables, verify
+from flcubes import census, formulas, lattice, tables, verify
+from flcubes.lattice import Interval, is_cutting
 from flcubes.polynomials import IntPoly
 from flcubes.verify import run_verification
 
@@ -98,3 +99,46 @@ def test_a_wrong_per_bottom_cube_row_fails_every_line_that_reads_the_diagram_cub
         (INDEGREE_ERRATUM, "erratum"),
         (DEGREE_ERRATUM, "erratum"),
     }
+
+
+def test_expanding_along_another_cutting_fails_the_isomorphism_lines(fresh_memos, monkeypatch):
+    # the first other cutting of the same size, so the vertex counts still
+    # add up; for the last-element split there are two or three such
+    # cuttings at each n = 6..9, and none of their expansions is phi(n)
+    def other_cutting(host, interval):
+        size = len(host.interval_members(interval))
+        for bottom in range(len(host)):
+            for top in range(len(host)):
+                other = Interval(bottom, top)
+                if (other != interval and host.leq(bottom, top)
+                        and len(host.interval_members(other)) == size
+                        and is_cutting(host, other)):
+                    return lattice.convex_expansion(host, other)
+        raise AssertionError("no other cutting of the same size")
+
+    monkeypatch.setattr(verify, "convex_expansion", other_cutting)
+    records = run_verification(9).records
+    assert {(r.name, r.status) for r in records if r.status != "pass"} == {
+        ("dual-fence split: rank polynomial obeys the bottom-anchored expansion split", "fail"),
+        ("dual-fence split: cube polynomial gains (1+x) times the cutting's", "fail"),
+        ("dual-fence split: expansion is isomorphic to the direct construction", "fail"),
+        ("last-element split: rank polynomial obeys the top-anchored expansion split", "fail"),
+        ("last-element split: rank polynomial obeys the bottom-anchored expansion split", "fail"),
+        ("last-element split: cube polynomial gains (1+x) times the cutting's", "fail"),
+        ("last-element split: expansion is isomorphic to the direct construction", "fail"),
+        (CUBE_ERRATUM, "erratum"),
+        (INDEGREE_ERRATUM, "erratum"),
+        (DEGREE_ERRATUM, "erratum"),
+    }
+    by_name = {}
+    for r in records:
+        by_name.setdefault(r.name, []).append(r.status)
+    assert by_name["last-element split: vertex count is additive"] == ["pass"] * 4
+    assert by_name["last-element split: expansion is isomorphic to the direct construction"] == [
+        "fail"
+    ] * 4
+    # at n = 5, 7 and 9 the isomorphism line is the only dual-fence line to
+    # fail; at n = 6 the other cutting's expansion is phi(6) as well
+    assert by_name["dual-fence split: expansion is isomorphic to the direct construction"] == [
+        "fail", "pass", "fail", "fail", "fail"
+    ]

@@ -1,17 +1,25 @@
 import hashlib
 import time
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     BOWTIE,
+    FAKE_CUBE,
     M3,
+    M3_ON_A_SQUARE,
+    SPARE_VERTEX,
+    TWO_SUBSETS,
+    graded_diagrams,
     lattice_from_covers,
     mask_of,
     members,
     naturally_labelled_posets,
     posets,
+    reduced_poset,
 )
 from flcubes import poset as poset_module
 from flcubes import tables
@@ -24,12 +32,13 @@ from flcubes.lattice import (
     filter_lattice,
     interval_diagram,
     is_cutting,
-    iso_check,
+    join_irreducibles,
     to_dot,
     underlying_graph,
 )
 from flcubes.polynomials import IntPoly
 from flcubes.poset import Poset, fence, sfence
+from flcubes.verify import _isomorphic
 
 
 def phi(n):
@@ -259,7 +268,7 @@ def test_phi5_contains_a_phi3_cutting():
     host, interval = deletion_cutting(sfence(5), 5)
     assert is_cutting(host, interval)
     part = interval_diagram(host, interval)
-    assert iso_check(part, phi(3))
+    assert _isomorphic(part, phi(3))
 
 
 def test_interval_members_rejects_unordered_pair():
@@ -282,7 +291,7 @@ def test_smallest_expansion_is_a_three_chain():
     d = phi(1)
     expanded = convex_expansion(d, Interval(d.top, d.top))
     assert len(expanded) == 3
-    assert iso_check(expanded, phi(2))
+    assert _isomorphic(expanded, phi(2))
 
 
 def test_expansion_rejects_non_cutting():
@@ -306,14 +315,14 @@ def test_phi6_is_phi5_expanded_by_phi4():
     assert len(part) == 6
     expanded = convex_expansion(host, interval)
     assert len(expanded) == 16
-    assert iso_check(expanded, phi(6))
+    assert _isomorphic(expanded, phi(6))
 
 
 def test_phi7_is_phi6_expanded_by_phi5():
     host, interval = deletion_cutting(sfence(7), 7)
     expanded = convex_expansion(host, interval)
-    assert iso_check(expanded, phi(7))
-    assert not iso_check(expanded, phi(6))
+    assert _isomorphic(expanded, phi(7))
+    assert not _isomorphic(expanded, phi(6))
 
 
 def test_rank_split_of_expansion():
@@ -340,7 +349,7 @@ def test_deletion_expansion_rebuilds_filter_lattice(p):
         host, interval = deletion_cutting(p, x)
         expanded = convex_expansion(host, interval)
         assert len(expanded) == len(full)
-        assert iso_check(expanded, full)
+        assert _isomorphic(expanded, full)
 
 
 # -- convex expansion against its order rules -----------------------------------
@@ -438,7 +447,6 @@ def test_expansion_matches_order_rules_on_every_deletion_cutting_up_to_six_eleme
 
 
 def test_expansion_is_linear_in_the_host():
-    # 5 168 vertices, past iso_check's bound, so the polynomials stand in for it
     host, interval = deletion_cutting(sfence(18), 18)
     start = time.perf_counter()
     expanded = convex_expansion(host, interval)
@@ -447,6 +455,7 @@ def test_expansion_is_linear_in_the_host():
     assert len(expanded) == len(direct) == 5168
     assert rank_polynomial(expanded) == rank_polynomial(direct)
     assert cube_polynomial(expanded) == cube_polynomial(direct)
+    assert _isomorphic(expanded, direct)
     assert elapsed < 2.0, f"expansion took {elapsed:.2f} s"
 
 
@@ -474,31 +483,235 @@ def test_underlying_graph_phi6_counts():
 
 def test_phi3_is_a_four_chain():
     four_chain = lattice_from_covers((0, 1, 2, 3), [(1, 0), (2, 1), (3, 2)])
-    assert iso_check(phi(3), four_chain)
+    assert _isomorphic(phi(3), four_chain)
 
 
 def test_size_mismatch_is_not_isomorphic():
     gamma3 = filter_lattice(fence(3))
     assert len(gamma3) == 5
-    assert not iso_check(phi(4), gamma3)
+    assert not _isomorphic(phi(4), gamma3)
 
 
 def test_rank_profile_mismatch():
     # same size and arc count, different rank profile
     gamma3 = filter_lattice(fence(3))
     gamma3_star = filter_lattice(fence(3).dual())
-    assert not iso_check(gamma3, gamma3_star)
-
-
-def test_iso_capacity():
-    big = phi(13)
-    with pytest.raises(CapacityError):
-        iso_check(big, big)
+    assert not _isomorphic(gamma3, gamma3_star)
 
 
 def test_self_iso():
     for n in range(9):
-        assert iso_check(phi(n), phi(n))
+        assert _isomorphic(phi(n), phi(n))
+
+
+# -- distributivity certificate and poset isomorphism -------------------------------
+
+
+def assert_round_trip(p):
+    """J(F(P)) is P: each join-irreducible of the filter lattice is the
+    complement of the down-set of one element, and those elements order the
+    join-irreducibles as the diagram does."""
+    d = filter_lattice(p)
+    j = join_irreducibles(d)
+    assert j is not None
+    full = (1 << len(p)) - 1
+    element_of = {}
+    for v in j.elements:
+        ideal = members(p.elements, full & ~d.vertices[v])
+        tops = [x for x in ideal if not p.up_set(x) & ideal]
+        assert len(tops) == 1 and ideal == p.down_set(tops[0]) | {tops[0]}
+        element_of[v] = tops[0]
+    assert sorted(element_of.values()) == list(p.elements)
+    for v in j.elements:
+        assert {element_of[u] for u in j.down_set(v)} == p.down_set(element_of[v])
+    assert j.is_isomorphic(p)
+
+
+@given(posets())
+@settings(max_examples=60, deadline=None)
+def test_birkhoff_round_trip_on_random_posets(p):
+    assert_round_trip(p)
+
+
+def test_birkhoff_round_trip_on_every_small_poset():
+    count = 0
+    for n in range(7):
+        for p in naturally_labelled_posets(n):
+            assert join_irreducibles(filter_lattice(p)).is_isomorphic(p)
+            count += 1
+    assert count == 5232
+
+
+def test_birkhoff_round_trip_on_the_sfences():
+    for n in range(19):
+        assert_round_trip(sfence(n))
+
+
+# atoms 1, 2, 3 under 4 = 1 v 2 and two vertices 5, 6 over 1 and 3, all
+# under the top: the vertex and cover counts of the cube 2^3, and every cover
+# adds one join-irreducible, but 5 and 6 have the same ones below them
+SHARED_JOIN_IRREDUCIBLES = lattice_from_covers(
+    (0, 1, 1, 1, 2, 2, 2, 3),
+    [(1, 0), (2, 0), (3, 0), (4, 1), (4, 2), (5, 1), (5, 3), (6, 1), (6, 3),
+     (7, 4), (7, 5), (7, 6)],
+)
+
+# the down-sets of 1, 2, 3 and 8 > 1, 3, as vertices 0..9, without the cover
+# of {1, 3} by {1, 2, 3}: the vertex count still matches, but not the arcs
+DROPPED_COVER = lattice_from_covers(
+    (0, 1, 1, 1, 2, 2, 2, 3, 3, 4),
+    [(1, 0), (2, 0), (3, 0), (4, 1), (4, 2), (5, 1), (5, 3), (6, 2), (6, 3),
+     (7, 4), (7, 6), (8, 5), (9, 7), (9, 8)],
+)
+
+
+def is_distributive_lattice(d):
+    """By definition: every pair has a join and a meet, and meets distribute over joins."""
+    vs = range(len(d))
+
+    def least(xs, le):
+        best = [z for z in xs if all(le(z, w) for w in xs)]
+        return best[0] if best else None
+
+    join = {(x, y): least([z for z in vs if d.leq(x, z) and d.leq(y, z)], d.leq)
+            for x in vs for y in vs}
+    meet = {(x, y): least([z for z in vs if d.leq(z, x) and d.leq(z, y)], lambda a, b: d.leq(b, a))
+            for x in vs for y in vs}
+    if None in join.values() or None in meet.values():
+        return False
+    return all(meet[x, join[y, z]] == join[meet[x, y], meet[x, z]]
+               for x in vs for y in vs for z in vs)
+
+
+small_diagrams = st.one_of(
+    graded_diagrams(max_width=3),
+    posets(max_size=4).map(filter_lattice).filter(lambda d: len(d) <= 12),
+)
+
+
+@pytest.mark.parametrize("diagram", [
+    M3, BOWTIE, TWO_SUBSETS, FAKE_CUBE, SPARE_VERTEX, M3_ON_A_SQUARE, SHARED_JOIN_IRREDUCIBLES,
+    DROPPED_COVER,
+], ids=["m3", "bowtie", "two-subsets", "fake-cube", "spare-vertex", "m3-on-a-square",
+        "shared-join-irreducibles", "dropped-cover"])
+def test_certificate_refuses_non_distributive_diagrams(diagram):
+    assert not is_distributive_lattice(diagram)
+    assert join_irreducibles(diagram) is None
+
+
+@given(st.one_of(graded_diagrams(), posets(max_size=5).map(filter_lattice)))
+@settings(max_examples=150, deadline=None)
+def test_certificate_accepts_exactly_the_distributive_lattices(d):
+    assert (join_irreducibles(d) is not None) == is_distributive_lattice(d)
+
+
+def relabelled_diagram(d, order):
+    """``d`` with vertex v renumbered ``order[v]``."""
+    ranks = [0] * len(d)
+    for v, r in enumerate(d.ranks):
+        ranks[order[v]] = r
+    return lattice_from_covers(ranks, [(order[u], order[v]) for u, v in d.arcs])
+
+
+def brute_diagram_isomorphic(a, b):
+    """Some rank-preserving bijection maps a's covers onto b's."""
+    if sorted(a.ranks) != sorted(b.ranks):
+        return False
+    levels = [[[v for v in range(len(d)) if d.ranks[v] == r] for r in range(d.height + 1)]
+              for d in (a, b)]
+    for choice in product(*(permutations(level) for level in levels[1])):
+        image = {v: w for la, lb in zip(levels[0], choice) for v, w in zip(la, lb)}
+        if {(image[u], image[v]) for u, v in a.arcs} == b.arcs:
+            return True
+    return False
+
+
+@given(small_diagrams, small_diagrams, st.data())
+@settings(max_examples=100, deadline=None)
+def test_isomorphic_matches_rank_preserving_brute_force(a, b, data):
+    order = data.draw(st.permutations(range(len(a))))
+    for other in (b, relabelled_diagram(a, order)):
+        expected = join_irreducibles(a) is not None and brute_diagram_isomorphic(a, other)
+        assert _isomorphic(a, other) == expected
+
+
+def brute_poset_isomorphic(p, q):
+    """Some bijection of the ground sets maps p's strict order onto q's."""
+    if len(p) != len(q):
+        return False
+    order_p = {(a, b) for b in p.elements for a in p.down_set(b)}
+    order_q = {(a, b) for b in q.elements for a in q.down_set(b)}
+    return any(
+        {(image[a], image[b]) for a, b in order_p} == order_q
+        for image in (dict(zip(p.elements, perm)) for perm in permutations(q.elements))
+    )
+
+
+@given(posets(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_poset_isomorphism_matches_brute_force(p, data):
+    perm = dict(zip(p.elements, data.draw(st.permutations(p.elements))))
+    relabelled = Poset(p.elements, frozenset((perm[a], perm[b]) for a, b in p.covers))
+    assert p.is_isomorphic(relabelled) and relabelled.is_isomorphic(p)
+    variants = []
+    if p.covers:
+        dropped = data.draw(st.sampled_from(sorted(p.covers)))
+        variants.append(Poset(p.elements, p.covers - {dropped}))
+    apart = [(a, b) for a in p.elements for b in p.elements
+             if a > b and a not in p.up_set(b) | p.down_set(b)]
+    if apart:
+        added = data.draw(st.sampled_from(apart))
+        variants.append(reduced_poset(len(p), set(p.covers) | {added}))
+    for q in variants:
+        assert p.is_isomorphic(q) == brute_poset_isomorphic(p, q)
+
+
+def crowns(*sizes):
+    """Disjoint crowns: crown k has minimal elements m_0..m_k-1 and maximal
+    elements M_0..M_k-1, with M_i above m_i and m_i+1 (mod k), so each
+    element has two covers or is covered twice."""
+    covers, first = set(), 1
+    for k in sizes:
+        covers |= {(first + k + i, first + j) for i in range(k) for j in (i, (i + 1) % k)}
+        first += 2 * k
+    return Poset(tuple(range(1, first)), frozenset(covers))
+
+
+def test_poset_isomorphism_separates_posets_that_colours_do_not():
+    # every element of both has the same colour: an 8-cycle of covers is
+    # connected, two 4-cycles are not; each of those has twin elements,
+    # which a map that is not one-to-one could merge
+    one, two = crowns(4), crowns(2, 2)
+    assert sorted(one._colours()) == sorted(two._colours())
+    assert not one.is_isomorphic(two) and not two.is_isomorphic(one)
+    assert one.is_isomorphic(Poset(one.elements, frozenset((9 - a, 9 - b) for a, b in one.covers)))
+    assert two.is_isomorphic(crowns(2, 2))
+
+
+def test_poset_isomorphism_reads_the_order_both_ways():
+    # equal colours but 168 and 170 filters; a search that compared only the
+    # elements above each newly mapped element, or only those below it, would
+    # map the one onto the other (the dual pair for the second)
+    a = Poset(tuple(range(1, 11)), frozenset(
+        [(4, 1), (4, 2), (7, 2), (7, 3), (7, 5), (9, 1), (9, 8), (10, 2), (10, 3)]))
+    b = Poset(tuple(range(1, 11)), frozenset(
+        [(6, 1), (6, 2), (6, 5), (7, 4), (7, 5), (8, 1), (8, 3), (9, 1), (9, 3)]))
+    assert sorted(a._colours()) == sorted(b._colours())
+    assert (a.count_filters(), b.count_filters()) == (168, 170)
+    assert not a.is_isomorphic(b) and not a.dual().is_isomorphic(b.dual())
+
+
+def test_isomorphism_refuses_past_the_element_bound():
+    antichain = Poset(tuple(range(33)), frozenset())
+    with pytest.raises(CapacityError, match="poset isomorphism supports at most 32 elements"):
+        antichain.is_isomorphic(antichain)
+
+
+def test_certificate_refuses_a_chain_past_the_element_bound():
+    # J of a 34-vertex chain is a 33-element chain, past filter enumeration
+    chain = lattice_from_covers(range(34), [(i + 1, i) for i in range(33)])
+    with pytest.raises(CapacityError, match="at most 32 elements, got 33"):
+        join_irreducibles(chain)
 
 
 # -- dot export --------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import pytest
 
 from flcubes import tables, verify
+from flcubes.lattice import deletion_cutting
+from flcubes.poset import sfence
 from flcubes.verify import CheckRecord, VerificationReport, run_verification
 
 
@@ -74,3 +76,25 @@ def test_verify_builds_no_diagram_past_the_census_identity_range(monkeypatch):
     monkeypatch.setattr(tables, "phi_diagram", recorder)
     assert run_verification(18).exit_code == 0
     assert built and max(built) <= verify.QD_CENSUS_MAX_N
+
+
+def test_structural_checks_pass_past_the_reported_range():
+    # S-fence 12 has 288 vertices and S-fence 14 has 754; no structural
+    # check has a vertex bound of its own
+    report = VerificationReport(14)
+    verify._structural(report, 14)
+    assert len(report.records) == 10 * 6 + 9 * 5
+    assert all(r.status == "pass" for r in report.records), [
+        r.render() for r in report.records if r.status != "pass"
+    ]
+
+
+def test_last_element_split_cuts_the_cached_host_like_deletion_cutting():
+    for n in range(6, 19):
+        assert sfence(n).remove(n) == sfence(n - 1)
+        host, interval = verify._last_element_split(n)
+        assert host is tables.phi_diagram(n - 1)
+        built, cutting = deletion_cutting(sfence(n), n)
+        assert [host.vertices[v] for v in host.interval_members(interval)] == [
+            built.vertices[v] for v in built.interval_members(cutting)
+        ]
