@@ -225,11 +225,19 @@ def outdegree_polynomial(diagram: LatticeDiagram) -> IntPoly:
     return _histogram(map(len, diagram.down_adj))
 
 
+# Each family's definition-level census of a diagram; ``poset_census`` counts the same families
+DIAGRAM_CENSUS = {
+    "rank": rank_polynomial, "cube": cube_polynomial, "maxcube": maximal_cube_polynomial,
+    "degree": degree_polynomial, "indegree": indegree_polynomial,
+    "outdegree": outdegree_polynomial,
+}
+
+
 # -- poset-native census ------------------------------------------------------
 
 
 def poset_census(poset: Poset) -> dict[str, IntPoly]:
-    """All six families of the filter lattice of ``poset``, without building it.
+    """Every family of ``DIAGRAM_CENSUS`` on the filter lattice of ``poset``, without building it.
 
     Filter f has rank |P| - |f|; it is covered by f minus one of its minimal
     elements and covers f plus one addable element (one outside f with
@@ -261,10 +269,7 @@ def poset_census(poset: Poset) -> dict[str, IntPoly]:
 
     kinds = Counter(map(kind, masks))
 
-    counts: dict[str, Counter[int]] = {
-        family: Counter()
-        for family in ("rank", "cube", "maxcube", "degree", "indegree", "outdegree")
-    }
+    counts: dict[str, Counter[int]] = {family: Counter() for family in DIAGRAM_CENSUS}
     for (rank, ins, outs, maximal), c in kinds.items():
         counts["rank"][rank] += c
         counts["indegree"][ins] += c

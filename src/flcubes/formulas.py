@@ -156,6 +156,10 @@ def dm_coeff(n: int, k: int) -> int:
     return binom(n - k - 2, k - 1) + binom(n - k, k)
 
 
+CLOSED_FORMS = {"rank": r_coeff, "cube": q_coeff, "maxcube": h_coeff, "degree": d_coeff,
+                "indegree": dm_coeff}
+
+
 # -- polynomial recurrences ----------------------------------------------------------
 
 _ONE = IntPoly.one()
@@ -259,6 +263,14 @@ COEFF_RECURRENCES = {
 VALIDATED_FROM = {f: rec.seeds[-1] + 1 for f, rec in COEFF_RECURRENCES.items()}
 
 
+def polynomial_row(family: str) -> tuple[str, int, int]:
+    """(f, size, shift) such that row m of ``family``'s coefficient recurrence
+    is row size * m + shift of the polynomial family f: the rank row 2m + half
+    for a half-index series, row m of ``family`` itself otherwise."""
+    half = COEFF_RECURRENCES[family].half
+    return (family, 1, 0) if half is None else ("rank", 2, half)
+
+
 def stated_terms(statement: str) -> list[tuple[int, int, int]]:
     """The terms (sign, i, j) of a statement ``row(n,k) = +/- row(n-i,k-j) ...``."""
     head = re.fullmatch(r"(\S+)\(([nm]),k\) = (.+)", statement)
@@ -314,7 +326,7 @@ def _step_coeff_rows(family: str, n: int) -> tuple[int, list[list[int]]]:
     start, rows, terms = _COEFF_ROWS.get(family) or (n + 1, [], [])
     rec = COEFF_RECURRENCES[family]
     if n < start:
-        key, size, shift = (family, 1, 0) if rec.half is None else ("rank", 2, rec.half)
+        key, size, shift = polynomial_row(family)
         start, terms = rec.seeds[0], stated_terms(rec.statement)
         rows = [list(poset_census(sfence(size * i + shift))[key].coeffs) for i in rec.seeds]
     while start + len(rows) <= n:

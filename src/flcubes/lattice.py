@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .poset import Poset
+from .poset import FILTER_ENUM_BOUND, Poset, _too_many_elements
 
 
 @dataclass(frozen=True)
@@ -330,31 +330,38 @@ def join_irreducibles(diagram: LatticeDiagram) -> Poset | None:
 
     J is the vertices with one lower cover, ordered as in the diagram.  With
     phi(x) the elements of J at or below x, J is returned only when phi is
-    injective, every cover adds one element to phi, and the diagram has as
-    many vertices and arcs as the lattice of down-sets of J.  Then phi is an
-    isomorphism onto that lattice's Hasse diagram; no lattice property is
-    assumed.  By Birkhoff's theorem two such diagrams are isomorphic exactly
-    when their J are, and the filter lattice of a poset P gives J ≅ P.  The
-    down-sets are counted as their complements, the filters of J, so a J
-    past the bounds of ``Poset.filter_masks`` raises CapacityError.
+    injective, every cover adds one element to phi, and each vertex x has one
+    upper cover per element of J addable to phi(x), one outside phi(x) with
+    every element of J below it inside.  Then every down-set of J is reached
+    from phi(bottom), the empty one, one addable element at a time, so phi is
+    an isomorphism onto the Hasse diagram of J's down-set lattice; no lattice
+    property is assumed.  By Birkhoff's theorem two such diagrams are
+    isomorphic exactly when their J are, and the filter lattice of a poset P
+    gives J ≅ P.  Each cover of x adds a different addable element, so only
+    the totals are compared: the arcs, and per j the vertices above every
+    element of J below j but not above j, read from the up-set masks.  A J
+    past ``FILTER_ENUM_BOUND`` elements raises CapacityError.
     """
     down, lower = diagram.down_masks, diagram.down_adj
     own = {v: down[v] ^ down[c[0]] for v, c in enumerate(lower) if len(c) == 1}
+    if len(own) > FILTER_ENUM_BOUND:
+        raise _too_many_elements(len(own))
     j_mask = sum(own.values())
     phi = [m & j_mask for m in down]
     if len(set(phi)) < len(diagram) or any(
         (phi[u] ^ phi[v]).bit_count() != 1 for v, ups in enumerate(diagram.up_adj) for u in ups
     ):
         return None
-    # j's covers in J are the elements that the lower covers of its one lower
-    # cover drop; a cover missed here adds down-sets, which the counts refuse
+    up, everything, addable = diagram.up_masks, (1 << len(diagram)) - 1, 0
+    for j in own:
+        above = everything & ~up[j]
+        for i, other in own.items():
+            if other & phi[j] and i != j:
+                above &= up[i]
+        addable += above.bit_count()
+    if addable != len(diagram.arcs):
+        return None
+    # j's covers in J are the elements that the lower covers of its one lower cover drop
     vertex = {b: v for v, b in own.items()}
     covers = {(j, vertex[phi[lower[j][0]] ^ phi[w]]) for j in own for w in lower[lower[j][0]]}
-    poset = Poset(tuple(own), frozenset(covers))
-    filters = poset.filter_masks()
-    # each filter covers one filter per minimal element, which it drops
-    lows = poset._strict_down
-    arcs = sum(1 for f in filters for e, d in enumerate(lows) if f >> e & 1 and not d & f)
-    if len(filters) != len(diagram) or arcs != len(diagram.arcs):
-        return None
-    return poset
+    return Poset(tuple(own), frozenset(covers))

@@ -1,50 +1,27 @@
 """Uniform access to each polynomial family by computation method.
 
-Four methods cover the five formula-backed families: the census counts
-on the filter lattice (natively on the S-fence poset, or by the
+Four methods cover the five formula-backed families: the census counts on
+the filter lattice (natively on the S-fence poset, or by the
 definition-level scan on any diagram), the recurrence and closed forms
-evaluate the derived expressions, and the generating-function route
-expands a rational series.  The outdegree family is census-only, and the half-index rank
-series have a generating function and a coefficient recurrence only.
+evaluate the derived expressions, and the generating-function route expands
+a rational series.  Each route owns its family table; this module adds only
+the lowest n each closed form is claimed for.  The outdegree family is
+census-only, and the half-index rank series have a generating function and
+a coefficient recurrence only.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
 
 from . import census, formulas, genfun
 from .lattice import LatticeDiagram, filter_lattice
 from .polynomials import IntPoly
 from .poset import sfence
 
-
-class Family(NamedTuple):
-    """The diagram census and closed-form routes of one family, by function name.
-
-    The names are looked up in ``census`` and ``formulas`` at each call, so
-    a wrapper installed on either module is what gets called.
-    """
-
-    census: str | None = None
-    closed: str | None = None
-    closed_min_n: int = 0
-
-
-REGISTRY = {
-    "rank": Family("rank_polynomial", "r_coeff", 2),
-    "cube": Family("cube_polynomial", "q_coeff", 0),
-    "maxcube": Family("maximal_cube_polynomial", "h_coeff", 3),
-    "degree": Family("degree_polynomial", "d_coeff", 3),
-    "indegree": Family("indegree_polynomial", "dm_coeff", 3),
-    "outdegree": Family("outdegree_polynomial"),
-    "rank-even": Family(),
-    "rank-odd": Family(),
-}
-
-FAMILIES = tuple(f for f, fam in REGISTRY.items() if fam.census)
-CLOSED_MIN_N = {f: fam.closed_min_n for f, fam in REGISTRY.items() if fam.closed}
-GF_FAMILIES = tuple(f for f in REGISTRY if f in genfun.ALL_SERIES)
+FAMILIES = tuple(census.DIAGRAM_CENSUS)
+CLOSED_MIN_N = {"rank": 2, "cube": 0, "maxcube": 3, "degree": 3, "indegree": 3}
+GF_FAMILIES = tuple(sorted(genfun.ALL_SERIES, key=lambda f: f not in FAMILIES))
 CENSUS_MAX_N = 18
 FORMULA_MAX_N = 40
 
@@ -80,7 +57,7 @@ def census_poly(family: str, n: int) -> IntPoly:
 def diagram_poly(family: str, diagram: LatticeDiagram) -> IntPoly:
     """Census polynomial of an arbitrary diagram, by the definition-level scan."""
     _check_family(family)
-    return getattr(census, REGISTRY[family].census)(diagram)
+    return census.DIAGRAM_CENSUS[family](diagram)
 
 
 def recurrence_poly(family: str, n: int) -> IntPoly:
@@ -93,7 +70,7 @@ def closed_poly(family: str, n: int) -> IntPoly:
     lo = CLOSED_MIN_N[family]
     if n < lo:
         raise ValueError(f"closed form for {family} is defined for n >= {lo}")
-    coeff = getattr(formulas, REGISTRY[family].closed)
+    coeff = formulas.CLOSED_FORMS[family]
     return IntPoly([coeff(n, k) for k in range(n + 1)])
 
 

@@ -21,6 +21,7 @@ from .formulas import (
     coeff_by_recurrence,
     fib,
     padovan133,
+    polynomial_row,
     stated_step,
     stated_terms,
 )
@@ -151,9 +152,7 @@ def _method_agreement(report: VerificationReport, census_hi: int, formula_hi: in
         lambda n: sfence(n).count_filters(),
     )
     for family, lo in VALIDATED_FROM.items():
-        # row m of a half-index series is the rank row 2m + half
-        half = COEFF_RECURRENCES[family].half
-        poly, size, shift = (family, 1, 0) if half is None else ("rank", 2, half)
+        poly, size, shift = polynomial_row(family)
         report.compare_range(
             f"{family}: coefficient recurrence vs polynomial recurrence",
             lo,
@@ -250,14 +249,19 @@ def _interleaving(report: VerificationReport, formula_hi: int) -> None:
     )
 
 
-def _expansion_checks(
-    report: VerificationReport, tag: str, scope: str, host, interval, part, expect
-) -> None:
-    """Shared per-expansion battery: counts, rank split, cube identity, iso.
+def _split_checks(report: VerificationReport, tag: str, n: int, host, interval, cutting) -> None:
+    """One split of phi(n): the cutting, counts, rank split, cube identity, iso.
 
-    ``part`` is the cutting as its own diagram.  Every split checked here is
-    anchored at the host's top or at its bottom, which fixes the rank split.
+    ``cutting`` is what the interval should be as its own diagram: the text
+    after "matches", that diagram, and the failure detail.  Every split
+    checked here is anchored at the host's top or at its bottom, which fixes
+    the rank split.
     """
+    scope = f"n={n}"
+    part = interval_diagram(host, interval)
+    what, expected_part, detail = cutting
+    report.check(f"{tag}: cutting matches {what}", scope, _isomorphic(part, expected_part), detail)
+
     expanded = convex_expansion(host, interval)
     ok = len(expanded) == len(host) + len(part)
     report.check(f"{tag}: vertex count is additive", scope, ok, "count mismatch")
@@ -292,7 +296,7 @@ def _expansion_checks(
     report.check(
         f"{tag}: expansion is isomorphic to the direct construction",
         scope,
-        _isomorphic(expanded, expect),
+        _isomorphic(expanded, tables.phi_diagram(n)),
         "no rank-preserving isomorphism found",
     )
 
@@ -307,40 +311,14 @@ def _structural(report: VerificationReport, hi: int) -> None:
             is_cutting(host, interval),
             "not a cutting",
         )
-        part = interval_diagram(host, interval)
-        report.check(
-            "dual-fence split: cutting matches the short fence lattice",
-            f"n={n}",
-            _isomorphic(part, filter_lattice(fence(n - 4))),
-            "cutting is not the expected fence lattice",
-        )
-        _expansion_checks(
-            report,
-            "dual-fence split",
-            f"n={n}",
-            host,
-            interval,
-            part,
-            tables.phi_diagram(n),
-        )
+        fences = filter_lattice(fence(n - 4))
+        cutting = ("the short fence lattice", fences, "cutting is not the expected fence lattice")
+        _split_checks(report, "dual-fence split", n, host, interval, cutting)
     for n in range(6, hi + 1):
         host, interval = _last_element_split(n)
-        part = interval_diagram(host, interval)
-        report.check(
-            "last-element split: cutting matches the smaller cube",
-            f"n={n}",
-            _isomorphic(part, tables.phi_diagram(n - 2)),
-            "cutting is not the expected smaller cube",
-        )
-        _expansion_checks(
-            report,
-            "last-element split",
-            f"n={n}",
-            host,
-            interval,
-            part,
-            tables.phi_diagram(n),
-        )
+        smaller = tables.phi_diagram(n - 2)
+        cutting = ("the smaller cube", smaller, "cutting is not the expected smaller cube")
+        _split_checks(report, "last-element split", n, host, interval, cutting)
 
 
 def _last_element_split(n: int):

@@ -699,7 +699,7 @@ def test_sfence_census_refuses_past_the_lattice_bound():
 
 def test_verify_takes_the_identity_cube_side_from_the_diagram_scan(monkeypatch):
     real = census.cube_polynomial
-    monkeypatch.setattr(census, "cube_polynomial", lambda d: real(d) + IntPoly([1]))
+    monkeypatch.setitem(census.DIAGRAM_CENSUS, "cube", lambda d: real(d) + IntPoly([1]))
     report = run_verification(14)
     record = next(
         r for r in report.records

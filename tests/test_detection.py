@@ -88,7 +88,7 @@ def test_a_wrong_per_bottom_cube_row_fails_every_line_that_reads_the_diagram_cub
             local.setattr(census, "comb", lambda m, k: comb(m, k) + (k == 1))
             return real(diagram)
 
-    monkeypatch.setattr(census, "cube_polynomial", cube_polynomial)
+    monkeypatch.setitem(census.DIAGRAM_CENSUS, "cube", cube_polynomial)
     monkeypatch.setattr(verify, "cube_polynomial", cube_polynomial)
     assert _non_passing() == {
         ("indegree(1+x) equals cube polynomial (census route)", "fail"),

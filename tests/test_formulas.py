@@ -3,8 +3,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import golden_tables
+from flcubes.census import poset_census
 from flcubes.formulas import (
+    CLOSED_FORMS,
     COEFF_RECURRENCES,
+    RECURRENCES,
     VALIDATED_FROM,
     binom,
     coeff_by_recurrence,
@@ -17,8 +20,10 @@ from flcubes.formulas import (
     r_coeff,
     trinomial,
 )
+from flcubes.genfun import ALL_SERIES
 from flcubes.polynomials import IntPoly
-from flcubes.tables import CLOSED_MIN_N, recurrence_poly
+from flcubes.poset import sfence
+from flcubes.tables import CLOSED_MIN_N, FAMILIES, recurrence_poly
 
 CLOSED = {
     "rank": (r_coeff, 2),
@@ -261,6 +266,15 @@ def test_closed_forms_equal_their_full_range_sums(family):
     for n in range(lo, 81):
         for k in range(-2, n + 4):
             assert coeff(n, k) == full(n, k), (family, n, k)
+
+
+def test_every_route_table_names_the_same_formula_families():
+    # each route owns its family table, so a family added to one route and
+    # missed by another shows up here rather than at its first call
+    formula_families = set(CLOSED_FORMS)
+    assert formula_families == set(RECURRENCES) == set(CLOSED_MIN_N)
+    assert formula_families == set(ALL_SERIES) & set(FAMILIES)
+    assert tuple(poset_census(sfence(4))) == FAMILIES
 
 
 def test_indegree_compose_equals_cube_deep():

@@ -1,13 +1,13 @@
-"""Golden stdout of the command line, frozen from the seed release.
+"""Golden stdout of the command line, each entry frozen from the release that added it.
 
 ``golden_cli.json`` maps each argument list to its exit code and either its
 whole stdout (``verify`` and every ``--help``) or, for the long ``table``,
 ``gf`` and ``dot`` outputs, the SHA-256 of its stdout.  It covers ``table``
 for every valid (family, method) pair, ``gf`` for all seven series, ``verify
-12``, ``dot`` for the 7th S-fence and for ``golden.poset``, and the help
-text of the group and of each subcommand, which pins the order of the family
-and method choices.  Commands run in this directory, so a poset file is
-named by its bare file name.
+12``, ``verify 40`` (the formula ranges past n = 18), ``dot`` for the 7th
+S-fence and for ``golden.poset``, and the help text of the group and of each
+subcommand, which pins the order of the family and method choices.  Commands
+run in this directory, so a poset file is named by its bare file name.
 """
 
 import hashlib

@@ -707,6 +707,21 @@ def test_isomorphism_refuses_past_the_element_bound():
         antichain.is_isomorphic(antichain)
 
 
+def test_certificate_refuses_a_wide_antichain_of_join_irreducibles_without_enumerating():
+    # the intervals [a, b] of 1..20 under inclusion, below them the empty
+    # set: 211 vertices, J the 20 singletons, whose 2^20 down-sets are past
+    # the filter count bound; [a, b] has at most two upper covers but
+    # 20 - (b - a + 1) addable singletons, so the cover test refuses it
+    spans = [(a, b) for a in range(1, 21) for b in range(a, 21)]
+    index = {s: i + 1 for i, s in enumerate(spans)}
+    covers = [(index[a, a], 0) for a in range(1, 21)] + [
+        (index[a, b], index[s]) for a, b in spans if a < b for s in ((a + 1, b), (a, b - 1))
+    ]
+    lattice = lattice_from_covers([0] + [b - a + 1 for a, b in spans], covers)
+    assert len(lattice) == 211
+    assert join_irreducibles(lattice) is None
+
+
 def test_certificate_refuses_a_chain_past_the_element_bound():
     # J of a 34-vertex chain is a 33-element chain, past filter enumeration
     chain = lattice_from_covers(range(34), [(i + 1, i) for i in range(33)])
