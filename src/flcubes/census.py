@@ -9,7 +9,9 @@ general: M3 has cube polynomial 5 + 6x, and its Hasse graph has three
 induced squares.  One cached scan tables the Boolean intervals per bottom
 with an exact rule: for a set S of covers of a, [a, j] with j the join of S
 is Boolean iff every subset T of S joins to rank rank(a) + |T| and [a, j]
-has 2^|S| elements.  A bottom a whose whole set S of covers passes keeps
+has 2^|S| elements; for S all of a's covers the scan tests the equivalent,
+rank-free rule that [a, j] has 2^|S| elements and distinct T join to
+distinct vertices.  A bottom a whose whole set S of covers passes keeps
 only j_S, the join of S, since its cube tops are then exactly [a, j_S];
 any other bottom keeps {top: dimension}.  The cube and maximal-cube
 censuses read that table once per bottom: a bottom that passed adds the
@@ -58,21 +60,32 @@ def _scan(diagram: LatticeDiagram) -> list[int | dict[int, int]]:
     it a bijection onto [a, j_S] and an order isomorphism.  Every Boolean
     interval [a, j] is [a, j_S] for S its atoms, and every sub-interval of
     a Boolean interval is Boolean.  So the scan joins all subsets of a's
-    covers and tests S = all of them once, one comparison of the joins'
-    ranks and one interval popcount; when that passes, as it always does
-    on filter lattices, ``tops[a]`` is the int j_S: [a, j_S] is Boolean and
-    every element of it is a join j_T, so j is a cube top over a iff
-    a <= j <= j_S, of dimension rank(j) - rank(a).  Otherwise the same rule
-    runs per subset T, over the subsets of T, and ``tops[a]`` is {j_T: |T|}
-    over the T that pass.
+    covers and tests S = all of them once.
+
+    That whole-cover-set test reads no rank: [a, j_S] is Boolean iff it has
+    2^|S| elements and T -> j_T is injective, one interval popcount and one
+    set of the joins.  Each join is checked to be the least upper bound, so
+    j_(T u T') = j_T v j_T'.  An injective T -> j_T into [a, j_S], which has
+    2^|S| elements, is a bijection onto it, and j_T <= j_T' iff
+    j_(T u T') = j_T' iff T u T' = T' iff T is a subset of T', so it is an
+    order isomorphism from the subsets of S.  Conversely, a Boolean
+    [a, j_S] has the covers S of a as its atoms, 2^|S| elements and
+    distinct j_T.  The ranks follow from the diagram's grading.  When the
+    test passes, as it always does on filter lattices, ``tops[a]`` is the
+    int j_S: [a, j_S] is Boolean and every element of it is a join j_T, so
+    j is a cube top over a iff a <= j <= j_S, of dimension
+    rank(j) - rank(a).  Otherwise the ranked rule above runs per subset T,
+    over the subsets of T, and ``tops[a]`` is {j_T: |T|} over the T that
+    pass.
 
     The diagram's order masks number vertices from the top rank down, so
     the least element of any up-set intersection is its highest set bit,
     read by ``bit_length()``; a join then costs one mask AND, and it is the
     least upper bound exactly when the intersection equals that element's
     own up-set, which is checked at every join.  Both bounds are checked
-    before the masks are read.  The table is kept for as long as the
-    diagram lives, so the cube and maximal-cube censuses scan it once.
+    before the masks are read.  The memo is ``_TABLES``, keyed on the
+    diagram, which hashes by identity, and kept for as long as the diagram
+    lives, so the cube and maximal-cube censuses scan it once.
     """
     if diagram in _TABLES:
         return _TABLES[diagram]
@@ -83,13 +96,11 @@ def _scan(diagram: LatticeDiagram) -> list[int | dict[int, int]]:
     if sum(1 << len(ups) for ups in up_adj) > CENSUS_JOIN_BOUND:
         raise CapacityError(f"cube census supports at most {CENSUS_JOIN_BOUND} joins")
     order, upm, dnm = diagram.rank_order[::-1], diagram.up_masks, diagram.down_masks
-    sizes: dict[int, list[int]] = {}  # |T| for each subset T of m covers
-    targets: dict[tuple[int, int], list[int]] = {}  # rank(a) + |T|, per (rank(a), m)
 
     tops: list[int | dict[int, int]] = []
     for a in range(n):
         ups = up_adj[a]
-        rank_a, up_a = ranks[a], upm[a]
+        up_a = upm[a]
         joins = [a]  # joins[t] joins the covers ups[i] for the bits i of t
         for u in ups:
             up_u = upm[u]
@@ -99,21 +110,15 @@ def _scan(diagram: LatticeDiagram) -> list[int | dict[int, int]]:
                 if common != upm[j]:  # upm[j] <= common, as common is an up-set
                     raise ValueError("join is not unique; diagram is not a lattice")
                 joins.append(j)
-        m = len(ups)
-        if m not in sizes:
-            sizes[m] = [t.bit_count() for t in range(1 << m)]
-        size = sizes[m]
-        if (rank_a, m) not in targets:
-            targets[rank_a, m] = [rank_a + k for k in size]
-        target = targets[rank_a, m]
-        if (list(map(ranks.__getitem__, joins)) == target
-                and (up_a & dnm[joins[-1]]).bit_count() == len(joins)):
+        if (up_a & dnm[joins[-1]]).bit_count() == len(joins) == len(set(joins)):
             tops.append(joins[-1])
             continue
+        m, rank_a = len(ups), ranks[a]
+        size = [t.bit_count() for t in range(len(joins))]  # |T|
         found = {}
         graded = [False] * len(joins)  # rank(j_U) = rank(a) + |U| for all U <= T
         for t, j in enumerate(joins):
-            graded[t] = ranks[j] == target[t] and all(
+            graded[t] = ranks[j] == rank_a + size[t] and all(
                 graded[t ^ 1 << i] for i in range(m) if t >> i & 1
             )
             if graded[t] and (up_a & dnm[j]).bit_count() == 1 << size[t]:

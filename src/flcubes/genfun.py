@@ -14,6 +14,11 @@ from dataclasses import dataclass
 from .polynomials import IntPoly
 
 
+# fraction_coeffs' rows per (numerator, denominator), extended on demand and
+# kept for the life of the process
+_FRACTION_ROWS: dict[tuple[tuple[IntPoly, ...], tuple[IntPoly, ...]], list[IntPoly]] = {}
+
+
 def _p(*coeffs: int) -> IntPoly:
     return IntPoly(coeffs)
 
@@ -32,17 +37,23 @@ class RationalSeries:
             raise ValueError("denominator constant term must be 1")
 
     def fraction_coeffs(self, count: int) -> list[IntPoly]:
-        """First ``count`` coefficients of numerator/denominator alone."""
+        """First ``count`` coefficients of numerator/denominator alone.
+
+        The rows are memoized in ``_FRACTION_ROWS``, keyed on (numerator,
+        denominator), for the life of the process, and extended when a call
+        asks for more; each call gets its own list, so a caller that edits
+        it, as ``expand`` does, leaves the memo alone.
+        """
         if count < 0:
             raise ValueError("count must be non-negative")
         num, den = self.numerator, self.denominator
+        out = _FRACTION_ROWS.setdefault((num, den), [])
         neg_den = [-d for d in den[1:]]
-        out: list[IntPoly] = []
-        for n in range(count):
+        for n in range(len(out), count):
             # c_n = num_n - sum of den_i * c_(n-i), i = 1, 2, ...
             head = ((1, num[n]),) if n < len(num) else ()
             out.append(IntPoly.sum_of_products((*head, *zip(neg_den, reversed(out)))))
-        return out
+        return out[:count]
 
     def expand(self, count: int) -> list[IntPoly]:
         """First ``count`` coefficients of the whole series, correction included."""
@@ -54,7 +65,11 @@ class RationalSeries:
 
     def exactness_failure(self, count: int) -> str | None:
         """Re-multiply the expansion by the denominator; describe the first
-        coefficient that fails to reproduce the numerator, or None."""
+        coefficient that fails to reproduce the numerator, or None.
+
+        The expansion is ``fraction_coeffs``', so rows a caller has already
+        expanded are read from its memo rather than computed again.
+        """
         frac = self.fraction_coeffs(count)
         for n in range(count):
             acc = IntPoly.sum_of_products(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache
 
 from .errors import CapacityError
 
@@ -26,13 +26,51 @@ def _too_many_elements(n: int) -> CapacityError:
     return CapacityError(f"filter enumeration supports at most {FILTER_ENUM_BOUND} elements, got {n}")
 
 
+def _strict_up(n: int, cover_pos: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """Bitmask of strictly greater positions, per position; raises on cycles."""
+    parents: list[list[int]] = [[] for _ in range(n)]  # positions covering b
+    children: list[list[int]] = [[] for _ in range(n)]
+    for a, b in cover_pos:
+        parents[b].append(a)
+        children[a].append(b)
+    # Kahn order from maximal elements downward.
+    indeg = [len(parents[i]) for i in range(n)]
+    queue = deque(i for i in range(n) if indeg[i] == 0)
+    up = [0] * n
+    seen = 0
+    while queue:
+        a = queue.popleft()
+        seen += 1
+        for b in children[a]:
+            up[b] |= up[a] | (1 << a)
+            indeg[b] -= 1
+            if indeg[b] == 0:
+                queue.append(b)
+    if seen != n:
+        raise ValueError("cover relation contains a cycle")
+    return tuple(up)
+
+
+def _transpose(up: tuple[int, ...]) -> tuple[int, ...]:
+    """The strictly smaller positions, per position, from the strictly greater ones."""
+    down = [0] * len(up)
+    for i, m in enumerate(up):
+        while m:
+            low = m & -m
+            down[low.bit_length() - 1] |= 1 << i
+            m ^= low
+    return tuple(down)
+
+
 @dataclass(frozen=True)
 class Poset:
     """Immutable finite poset given by the transitive reduction of its order.
 
     The constructor validates that the cover digraph is acyclic, that every
     cover pair is irredundant (no chain of two or more covers implies it),
-    and that all endpoints belong to the ground set.
+    and that all endpoints belong to the ground set.  The order masks it
+    validates with, per position the strictly greater and strictly smaller
+    elements, are kept as plain attributes.
     """
 
     elements: tuple[int, ...]
@@ -47,60 +85,20 @@ class Poset:
         for a, b in self.covers:
             if a == b or a not in names or b not in names:
                 raise ValueError(f"bad cover pair ({a}, {b})")
-        self._strict_up  # forces cycle detection
+        pos = {e: i for i, e in enumerate(self.elements)}
+        cover_pos = tuple(sorted((pos[a], pos[b]) for a, b in self.covers))
+        up = _strict_up(len(self.elements), cover_pos)
+        object.__setattr__(self, "_pos", pos)
+        object.__setattr__(self, "_cover_pos", cover_pos)
+        object.__setattr__(self, "_strict_up", up)
+        object.__setattr__(self, "_strict_down", _transpose(up))
+        object.__setattr__(self, "_filter_count", None)  # recorded by filter_masks
         self._check_reduced()
 
     # -- derived structure ------------------------------------------------
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    @cached_property
-    def _pos(self) -> dict[int, int]:
-        return {e: i for i, e in enumerate(self.elements)}
-
-    @cached_property
-    def _cover_pos(self) -> tuple[tuple[int, int], ...]:
-        pos = self._pos
-        return tuple(sorted((pos[a], pos[b]) for a, b in self.covers))
-
-    @cached_property
-    def _strict_up(self) -> tuple[int, ...]:
-        """Bitmask of strictly greater elements, per position; raises on cycles."""
-        n = len(self.elements)
-        parents: list[list[int]] = [[] for _ in range(n)]  # positions covering b
-        children: list[list[int]] = [[] for _ in range(n)]
-        for a, b in self._cover_pos:
-            parents[b].append(a)
-            children[a].append(b)
-        # Kahn order from maximal elements downward.
-        indeg = [len(parents[i]) for i in range(n)]
-        queue = deque(i for i in range(n) if indeg[i] == 0)
-        up = [0] * n
-        seen = 0
-        while queue:
-            a = queue.popleft()
-            seen += 1
-            for b in children[a]:
-                up[b] |= up[a] | (1 << a)
-                indeg[b] -= 1
-                if indeg[b] == 0:
-                    queue.append(b)
-        if seen != n:
-            raise ValueError("cover relation contains a cycle")
-        return tuple(up)
-
-    @cached_property
-    def _strict_down(self) -> tuple[int, ...]:
-        n = len(self.elements)
-        down = [0] * n
-        for i in range(n):
-            m = self._strict_up[i]
-            while m:
-                low = m & -m
-                down[low.bit_length() - 1] |= 1 << i
-                m ^= low
-        return tuple(down)
 
     def _check_reduced(self) -> None:
         up = self._strict_up
@@ -179,7 +177,8 @@ class Poset:
         The canonical order is by cardinality, then ascending bitmask.
         """
         masks = self.filter_masks()
-        masks.sort(key=lambda m: (m.bit_count(), m))
+        masks.sort()
+        masks.sort(key=int.bit_count)  # stable, so ascending within a cardinality
         return masks
 
     def filter_masks(self) -> list[int]:
@@ -189,7 +188,8 @@ class Poset:
         every filter found so far that already holds all elements above it.
         The list only grows, so a count past ``FILTER_COUNT_BOUND`` stops the
         enumeration with :class:`CapacityError` after at most twice that many
-        masks.
+        masks.  A completed enumeration records its count on the poset for
+        :meth:`count_filters`.
         """
         if len(self.elements) > FILTER_ENUM_BOUND:
             raise _too_many_elements(len(self.elements))
@@ -201,11 +201,22 @@ class Poset:
             masks += [m | bit for m in masks if not above & ~m]
             if len(masks) > FILTER_COUNT_BOUND:
                 raise CapacityError(f"filter count exceeds {FILTER_COUNT_BOUND}")
+        object.__setattr__(self, "_filter_count", len(masks))
         return masks
 
     def count_filters(self) -> int:
-        """Number of filters, by :meth:`filter_masks` with the same bounds."""
-        return len(self.filter_masks())
+        """Number of filters, by :meth:`filter_masks` with the same bounds.
+
+        The memo is ``_filter_count``, the count the last completed
+        enumeration of this poset recorded, kept as long as the poset lives;
+        the masks themselves are not kept.  Until an enumeration completes,
+        each call enumerates, so a poset past a bound raises on every call.
+        A recorded count past the filter-count bound in force, should the
+        bound have been lowered since, enumerates again and so raises.
+        """
+        if self._filter_count is None or self._filter_count > FILTER_COUNT_BOUND:
+            self.filter_masks()
+        return self._filter_count
 
     # -- isomorphism -------------------------------------------------------------
 
@@ -264,8 +275,13 @@ class Poset:
 # -- standard posets -------------------------------------------------------
 
 
+@cache
 def fence(n: int) -> Poset:
-    """Zigzag poset on 1..n: even-indexed elements cover their odd neighbours."""
+    """Zigzag poset on 1..n: even-indexed elements cover their odd neighbours.
+
+    Memoized per n for the life of the process, so a caller that asks twice
+    gets the same poset and its recorded filter count.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
     covers = []
@@ -277,13 +293,15 @@ def fence(n: int) -> Poset:
     return Poset(tuple(range(1, n + 1)), frozenset(covers))
 
 
+@cache
 def sfence(n: int) -> Poset:
     """S-fence on 1..n: a fence whose first tooth carries the 3-chain 1 > 2 > 3.
 
     The defining cover list is 1>2, 2>3, 4>2, 4>5 and, from the third tooth
     on, 2i > 2i-1 and 2i > 2i+1.  For small n only the pairs with both
     indices <= n are kept, which reproduces the counting polynomials of the
-    family at every index.
+    family at every index.  Memoized per n for the life of the process, as
+    ``fence`` is.
     """
     if n < 0:
         raise ValueError("n must be non-negative")

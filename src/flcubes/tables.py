@@ -70,7 +70,13 @@ def closed_poly(family: str, n: int) -> IntPoly:
     lo = CLOSED_MIN_N[family]
     if n < lo:
         raise ValueError(f"closed form for {family} is defined for n >= {lo}")
-    coeff = formulas.CLOSED_FORMS[family]
+    return _closed_row(formulas.CLOSED_FORMS[family], n)
+
+
+@lru_cache(maxsize=None)
+def _closed_row(coeff, n: int) -> IntPoly:
+    """Row n of a closed form, memoized for the life of the process on the
+    coefficient function itself, so a replaced closed form is evaluated anew."""
     return IntPoly([coeff(n, k) for k in range(n + 1)])
 
 

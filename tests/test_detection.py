@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from flcubes import census, formulas, lattice, tables, verify
+from flcubes import census, formulas, genfun, lattice, poset, tables, verify
 from flcubes.lattice import Interval, is_cutting
 from flcubes.polynomials import IntPoly
 from flcubes.verify import run_verification
@@ -22,6 +22,11 @@ def _clear_memos():
     formulas._COEFF_ROWS.clear()
     tables._sfence_census.cache_clear()
     tables.phi_diagram.cache_clear()
+    tables._closed_row.cache_clear()
+    poset.sfence.cache_clear()
+    poset.fence.cache_clear()
+    genfun._FRACTION_ROWS.clear()
+    lattice._CERTIFICATES.clear()
 
 
 @pytest.fixture
@@ -42,6 +47,50 @@ def test_unfaulted_run_reports_only_the_three_errata(fresh_memos):
         (INDEGREE_ERRATUM, "erratum"),
         (DEGREE_ERRATUM, "erratum"),
     }
+
+
+def _cube_closed_form_one_too_many_1_cubes(n, k):
+    return formulas.q_coeff(n, k) + (k == 1)
+
+
+def _cube_gf_with_one_numerator_coefficient_changed():
+    series = genfun.cube_gf()
+    numerator = list(series.numerator)
+    numerator[1] += IntPoly.one()
+    return genfun.RationalSeries(tuple(numerator), series.denominator, series.correction)
+
+
+@pytest.mark.parametrize(
+    "table, fault, failing",
+    [
+        (
+            formulas.CLOSED_FORMS,
+            _cube_closed_form_one_too_many_1_cubes,
+            {"cube: census vs closed form", "cube: closed form vs recurrence"},
+        ),
+        (
+            genfun.ALL_SERIES,
+            _cube_gf_with_one_numerator_coefficient_changed,
+            {"cube: recurrence vs generating function"},
+        ),
+    ],
+    ids=["closed form", "generating function"],
+)
+def test_a_fault_swapped_in_after_a_warm_run_fails_the_lines_it_fails_from_cold(
+    fresh_memos, monkeypatch, table, fault, failing
+):
+    # the closed-form rows are keyed on the coefficient function and the
+    # expansion rows on the series' numerator and denominator, so neither
+    # memo can answer for the swapped route
+    with monkeypatch.context() as local:
+        local.setitem(table, "cube", fault)
+        cold = _non_passing()
+    _clear_memos()
+    run_verification(12)
+    monkeypatch.setitem(table, "cube", fault)
+    warm = _non_passing()
+    errata = {(CUBE_ERRATUM, "erratum"), (INDEGREE_ERRATUM, "erratum"), (DEGREE_ERRATUM, "erratum")}
+    assert warm == cold == {(name, "fail") for name in failing} | errata
 
 
 def test_a_wrong_cube_polynomial_step_fails_every_line_that_reads_it(fresh_memos, monkeypatch):

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import golden_tables
-from flcubes import tables
+from flcubes import genfun, tables
 from flcubes.formulas import COEFF_RECURRENCES, RECURRENCES, fib, stated_terms
 from flcubes.genfun import (
     ALL_SERIES,
@@ -174,3 +174,31 @@ def test_random_series_expand_exactly(corr, num, den_tail):
     for i in range(15):
         extra = IntPoly([corr[i]]) if i < len(corr) else IntPoly.zero()
         assert expanded[i] == fraction[i] + extra
+
+
+# -- the expansion memo ---------------------------------------------------------
+
+
+def test_callers_get_their_own_rows():
+    series = maxcube_gf()  # expand adds its correction into the list it returns
+    fraction = series.fraction_coeffs(12)
+    expanded = series.expand(12)
+    assert series.fraction_coeffs(12) == fraction != expanded
+    for call, rows in ((series.fraction_coeffs, fraction), (series.expand, expanded)):
+        kept = list(rows)
+        rows[1] = IntPoly([99])
+        rows.pop()
+        assert call(12) == kept
+
+
+@pytest.mark.parametrize("family", sorted(ALL_SERIES))
+def test_rows_read_from_a_longer_or_shorter_expansion_equal_cold_rows(family):
+    series = ALL_SERIES[family]()
+    genfun._FRACTION_ROWS.clear()
+    cold_10 = series.fraction_coeffs(10)
+    genfun._FRACTION_ROWS.clear()
+    cold_50 = series.fraction_coeffs(50)
+    assert series.fraction_coeffs(10) == cold_10  # read from the longer rows
+    genfun._FRACTION_ROWS.clear()
+    series.fraction_coeffs(10)
+    assert series.fraction_coeffs(50) == cold_50  # extended from the shorter rows

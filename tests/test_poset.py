@@ -187,6 +187,10 @@ def test_capacity_bounds(monkeypatch):
         fence(20).filters()
     monkeypatch.setattr(poset_module, "FILTER_COUNT_BOUND", fib(22))
     assert len(fence(20).filters()) == fib(22)  # the bound itself is allowed
+    # the count that enumeration recorded is refused under a lower bound too
+    monkeypatch.setattr(poset_module, "FILTER_COUNT_BOUND", 10)
+    with pytest.raises(CapacityError, match="filter count exceeds 10"):
+        fence(20).count_filters()
 
 
 def test_every_filter_entry_point_refuses_past_the_count_bound():
@@ -199,8 +203,9 @@ def test_every_filter_entry_point_refuses_past_the_count_bound():
         lambda: filter_lattice(antichain),
         lambda: poset_census(antichain),
     ):
-        with pytest.raises(CapacityError, match="^filter count exceeds 200000$"):
-            enumerate_filters()
+        for _ in range(2):  # a refusal records no count, so a second call refuses too
+            with pytest.raises(CapacityError, match="^filter count exceeds 200000$"):
+                enumerate_filters()
 
 
 def chain(n):
@@ -231,6 +236,20 @@ def test_enumeration_agrees_with_brute_force(p):
                 brute.add(frozenset(combo))
     assert fs == brute
     assert len(fs) == p.count_filters()
+
+
+@given(posets())
+@settings(max_examples=60)
+def test_count_filters_equals_the_enumeration_before_and_after_it(p):
+    cold = Poset(p.elements, p.covers)  # nothing enumerated yet
+    assert cold.count_filters() == len(p.filter_masks())
+    assert p.count_filters() == len(p.filter_masks()) == len(cold.filters())
+
+
+def test_fence_constructors_are_memoized_per_n():
+    for n in range(8):
+        assert sfence(n) is sfence(n)
+        assert fence(n) is fence(n)
 
 
 @given(posets())
