@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from weakref import WeakKeyDictionary
 
 from .poset import FILTER_ENUM_BOUND, Poset, _too_many_elements
 
@@ -326,9 +325,6 @@ def to_dot(diagram: LatticeDiagram) -> str:
 
 # -- distributivity certificate --------------------------------------------------
 
-# join_irreducibles' result per diagram, dropped with the diagram; diagrams hash by identity
-_CERTIFICATES: WeakKeyDictionary[LatticeDiagram, Poset | None] = WeakKeyDictionary()
-
 
 def join_irreducibles(diagram: LatticeDiagram) -> Poset | None:
     """The poset J of join-irreducibles if the diagram is a distributive lattice, else None.
@@ -345,16 +341,8 @@ def join_irreducibles(diagram: LatticeDiagram) -> Poset | None:
     gives J ≅ P.  Each cover of x adds a different addable element, so only
     the totals are compared: the arcs, and per j the vertices above every
     element of J below j but not above j, read from the up-set masks.  A J
-    past ``FILTER_ENUM_BOUND`` elements raises CapacityError.  The result,
-    None included, is memoized in ``_CERTIFICATES``, keyed on the diagram
-    and kept for as long as the diagram lives, as the cube scan's table is.
+    past ``FILTER_ENUM_BOUND`` elements raises CapacityError.
     """
-    if diagram not in _CERTIFICATES:
-        _CERTIFICATES[diagram] = _certify(diagram)
-    return _CERTIFICATES[diagram]
-
-
-def _certify(diagram: LatticeDiagram) -> Poset | None:
     down, lower = diagram.down_masks, diagram.down_adj
     own = {v: down[v] ^ down[c[0]] for v, c in enumerate(lower) if len(c) == 1}
     if len(own) > FILTER_ENUM_BOUND:

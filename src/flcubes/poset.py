@@ -211,10 +211,8 @@ class Poset:
         enumeration of this poset recorded, kept as long as the poset lives;
         the masks themselves are not kept.  Until an enumeration completes,
         each call enumerates, so a poset past a bound raises on every call.
-        A recorded count past the filter-count bound in force, should the
-        bound have been lowered since, enumerates again and so raises.
         """
-        if self._filter_count is None or self._filter_count > FILTER_COUNT_BOUND:
+        if self._filter_count is None:
             self.filter_masks()
         return self._filter_count
 

@@ -26,7 +26,6 @@ def _clear_memos():
     poset.sfence.cache_clear()
     poset.fence.cache_clear()
     genfun._FRACTION_ROWS.clear()
-    lattice._CERTIFICATES.clear()
 
 
 @pytest.fixture
