@@ -201,7 +201,8 @@ RECURRENCES = {
     ),
 }
 
-# family -> index of the first kept row, and the kept rows
+# family -> index of the first kept row, and the kept rows: a window as long
+# as the bases, so callers that ask for ascending n step each row once
 _KEPT: dict[str, tuple[int, list[IntPoly]]] = {}
 
 

@@ -15,7 +15,9 @@ from .polynomials import IntPoly
 
 
 # fraction_coeffs' rows per (numerator, denominator), extended on demand and
-# kept for the life of the process
+# kept for the life of the process, so that exactness_failure multiplies back
+# the rows expand has built instead of expanding the series again (4.6 % of
+# the benchmark's formulas operation when it was added)
 _FRACTION_ROWS: dict[tuple[tuple[IntPoly, ...], tuple[IntPoly, ...]], list[IntPoly]] = {}
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cache
 
 from .errors import CapacityError
 
@@ -208,9 +207,11 @@ class Poset:
         """Number of filters, by :meth:`filter_masks` with the same bounds.
 
         The memo is ``_filter_count``, the count the last completed
-        enumeration of this poset recorded, kept as long as the poset lives;
-        the masks themselves are not kept.  Until an enumeration completes,
-        each call enumerates, so a poset past a bound raises on every call.
+        enumeration of this poset recorded, kept as long as the poset lives,
+        so counting a poset whose filters were already listed, as ``verify``
+        does after the census, costs nothing; the masks themselves are not
+        kept.  Until an enumeration completes, each call enumerates, so a
+        poset past a bound raises on every call.
         """
         if self._filter_count is None:
             self.filter_masks()
@@ -273,44 +274,30 @@ class Poset:
 # -- standard posets -------------------------------------------------------
 
 
-@cache
-def fence(n: int) -> Poset:
-    """Zigzag poset on 1..n: even-indexed elements cover their odd neighbours.
-
-    Memoized per n for the life of the process, so a caller that asks twice
-    gets the same poset and its recorded filter count.
-    """
+def _zigzag(n: int, head: tuple[tuple[int, int], ...]) -> Poset:
+    """Poset on 1..n: the cover pairs ``head`` for the first two teeth, then
+    2i > 2i-1 and 2i > 2i+1 from the third tooth on; only the pairs with
+    both indices <= n are kept."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    covers = []
-    for i in range(1, n // 2 + 1):
-        a = 2 * i
-        covers.append((a, a - 1))
-        if a + 1 <= n:
-            covers.append((a, a + 1))
-    return Poset(tuple(range(1, n + 1)), frozenset(covers))
+    teeth = ((a, a + d) for a in range(6, n + 1, 2) for d in (-1, 1))
+    return Poset(tuple(range(1, n + 1)), frozenset(p for p in (*head, *teeth) if max(p) <= n))
 
 
-@cache
+def fence(n: int) -> Poset:
+    """Zigzag poset on 1..n: even-indexed elements cover their odd neighbours."""
+    return _zigzag(n, ((2, 1), (2, 3), (4, 3), (4, 5)))
+
+
 def sfence(n: int) -> Poset:
     """S-fence on 1..n: a fence whose first tooth carries the 3-chain 1 > 2 > 3.
 
     The defining cover list is 1>2, 2>3, 4>2, 4>5 and, from the third tooth
     on, 2i > 2i-1 and 2i > 2i+1.  For small n only the pairs with both
     indices <= n are kept, which reproduces the counting polynomials of the
-    family at every index.  Memoized per n for the life of the process, as
-    ``fence`` is.
+    family at every index.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    head = [(1, 2), (2, 3), (4, 2), (4, 5)]
-    covers = [p for p in head if p[0] <= n and p[1] <= n]
-    for i in range(3, n // 2 + 1):
-        a = 2 * i
-        covers.append((a, a - 1))
-        if a + 1 <= n:
-            covers.append((a, a + 1))
-    return Poset(tuple(range(1, n + 1)), frozenset(covers))
+    return _zigzag(n, ((1, 2), (2, 3), (4, 2), (4, 5)))
 
 
 # -- text format -------------------------------------------------------------

@@ -7,15 +7,14 @@ evaluate the derived expressions, and the generating-function route expands
 a rational series.  Each route owns its family table; this module adds only
 the lowest n each closed form is claimed for.  The outdegree family is
 census-only, and the half-index rank series have a generating function and
-a coefficient recurrence only.
+a coefficient recurrence only.  Nothing here keeps a row: a caller that
+reads a row twice, as ``verify`` does, holds it for its own run.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from . import census, formulas, genfun
-from .lattice import LatticeDiagram, filter_lattice
+from .lattice import LatticeDiagram
 from .polynomials import IntPoly
 from .poset import sfence
 
@@ -37,21 +36,10 @@ def _formula_family(family: str) -> None:
         raise ValueError(f"the {family} family has a census method only; no formulas are known")
 
 
-@lru_cache(maxsize=None)
-def phi_diagram(n: int) -> LatticeDiagram:
-    """Filter lattice of the S-fence on n elements."""
-    return filter_lattice(sfence(n))
-
-
-@lru_cache(maxsize=None)
-def _sfence_census(n: int) -> dict[str, IntPoly]:
-    return census.poset_census(sfence(n))
-
-
 def census_poly(family: str, n: int) -> IntPoly:
     """Census polynomial of the n-th S-fence, counted natively on the poset."""
     _check_family(family)
-    return _sfence_census(n)[family]
+    return census.poset_census(sfence(n))[family]
 
 
 def diagram_poly(family: str, diagram: LatticeDiagram) -> IntPoly:
@@ -70,13 +58,7 @@ def closed_poly(family: str, n: int) -> IntPoly:
     lo = CLOSED_MIN_N[family]
     if n < lo:
         raise ValueError(f"closed form for {family} is defined for n >= {lo}")
-    return _closed_row(formulas.CLOSED_FORMS[family], n)
-
-
-@lru_cache(maxsize=None)
-def _closed_row(coeff, n: int) -> IntPoly:
-    """Row n of a closed form, memoized for the life of the process on the
-    coefficient function itself, so a replaced closed form is evaluated anew."""
+    coeff = formulas.CLOSED_FORMS[family]
     return IntPoly([coeff(n, k) for k in range(n + 1)])
 
 

@@ -6,12 +6,15 @@ generating function, structure against expansion, the last through
 posets of join-irreducibles (Birkhoff's theorem).  Known range errata of
 three coefficient recurrences are probed explicitly and reported as
 erratum records, which never fail a run but are always printed.
+
+A run builds its subject once, the S-fences with their native censuses,
+filter lattices and route rows, and hands each check group the lists it
+reads; nothing is kept past the run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 from . import tables
 from .formulas import (
@@ -25,11 +28,12 @@ from .formulas import (
     stated_step,
     stated_terms,
 )
-from .census import cube_polynomial, generic_cube_count, rank_polynomial
+from .census import cube_polynomial, generic_cube_count, poset_census, rank_polynomial
 from .genfun import ALL_SERIES
 from .lattice import (
     Interval,
     convex_expansion,
+    deletion_cutting,
     filter_lattice,
     interval_diagram,
     is_cutting,
@@ -91,18 +95,21 @@ class VerificationReport:
         )
         return "\n".join(lines)
 
+    def record(self, name, scope, failures) -> None:
+        """Record one check: failed with the first detail the lazy iterable
+        ``failures`` yields, so nothing past it is computed, or passed."""
+        detail = next(iter(failures), None)
+        status = "pass" if detail is None else "fail"
+        self.records.append(CheckRecord(name, scope, status, detail or ""))
+
     def compare_range(self, name, lo, hi, fa, fb) -> None:
         """Record one check comparing fa(n) to fb(n) over lo..hi."""
+        pairs = ((n, fa(n), fb(n)) for n in range(lo, hi + 1))
         scope = f"n={lo}..{hi}" if lo <= hi else "empty range"
-        for n in range(lo, hi + 1):
-            va, vb = fa(n), fb(n)
-            if va != vb:
-                self.records.append(CheckRecord(name, scope, "fail", f"n={n}: {va} vs {vb}"))
-                return
-        self.records.append(CheckRecord(name, scope, "pass"))
+        self.record(name, scope, (f"n={n}: {a} vs {b}" for n, a, b in pairs if a != b))
 
     def check(self, name, scope, ok, detail="") -> None:
-        self.records.append(CheckRecord(name, scope, "pass" if ok else "fail", "" if ok else detail))
+        self.record(name, scope, () if ok else (detail,))
 
 
 def run_verification(max_n: int) -> VerificationReport:
@@ -112,15 +119,32 @@ def run_verification(max_n: int) -> VerificationReport:
     census_hi = min(max_n, tables.CENSUS_MAX_N)
     formula_hi = min(max_n, tables.FORMULA_MAX_N)
 
-    _method_agreement(report, census_hi, formula_hi)
-    _vertex_counts(report, census_hi)
-    _identity_suite(report, census_hi, formula_hi)
+    posets = [sfence(n) for n in range(census_hi + 1)]
+    census = [poset_census(p) for p in posets]
+    diagrams = [filter_lattice(p) for p in posets[: QD_CENSUS_MAX_N + 1]]
+    rows = {(family, "census"): [c[family] for c in census] for family in tables.FAMILIES}
+    for family, closed_lo in tables.CLOSED_MIN_N.items():
+        # one row past formula_hi: row m of rank-odd is rank row 2m + 1
+        rows[family, "recurrence"] = [
+            tables.recurrence_poly(family, n) for n in range(formula_hi + 2)
+        ]
+        rows[family, "closed form"] = {
+            n: tables.closed_poly(family, n) for n in range(closed_lo, formula_hi + 1)
+        }
+        rows[family, "generating function"] = tables.gf_polys(family, formula_hi + 1)
+
+    _method_agreement(report, rows, posets, census_hi, formula_hi)
+    _identity_suite(report, rows, diagrams, census_hi, formula_hi)
     _gf_exactness(report)
     _interleaving(report, formula_hi)
-    _structural(report, min(max_n, STRUCTURAL_MAX_N))
-    _conexp_counts(report, min(max_n, CONEXP_MAX_N))
-    _generic_cubes(report, min(max_n, GENERIC_CUBE_MAX_N))
-    _erratum_probes(report, census_hi)
+    _structural(report, min(max_n, STRUCTURAL_MAX_N), posets, diagrams)
+    hi = min(max_n, CONEXP_MAX_N)
+    name = "filter counts split under element deletion"
+    report.record(name, f"n<={hi}", _conexp_counts(posets, hi))
+    hi = min(max_n, GENERIC_CUBE_MAX_N)
+    name = "subgraph search agrees with interval cube census"
+    report.record(name, f"n<={hi}, k<=3", _generic_cubes(diagrams, hi))
+    _erratum_probes(report, rows, census_hi)
 
     return report
 
@@ -128,28 +152,22 @@ def run_verification(max_n: int) -> VerificationReport:
 # -- check groups ---------------------------------------------------------------
 
 
-def _method_agreement(report: VerificationReport, census_hi: int, formula_hi: int) -> None:
+def _method_agreement(report: VerificationReport, rows, posets, census_hi, formula_hi) -> None:
     for family, closed_lo in tables.CLOSED_MIN_N.items():
-        gf = tables.gf_polys(family, formula_hi + 1)
-        routes = {
-            "census": partial(tables.census_poly, family),
-            "recurrence": partial(tables.recurrence_poly, family),
-            "closed form": partial(tables.closed_poly, family),
-            "generating function": gf.__getitem__,
-        }
         for a, b, lo, hi in (
             ("census", "recurrence", 0, census_hi),
             ("census", "closed form", closed_lo, census_hi),
             ("recurrence", "generating function", 0, formula_hi),
             ("closed form", "recurrence", closed_lo, formula_hi),
         ):
-            report.compare_range(f"{family}: {a} vs {b}", lo, hi, routes[a], routes[b])
+            ra, rb = rows[family, a], rows[family, b]
+            report.compare_range(f"{family}: {a} vs {b}", lo, hi, ra.__getitem__, rb.__getitem__)
     report.compare_range(
         "outdegree: census total vs vertex count",
         0,
         census_hi,
-        lambda n: tables.census_poly("outdegree", n)(1),
-        lambda n: sfence(n).count_filters(),
+        lambda n: rows["outdegree", "census"][n](1),
+        lambda n: posets[n].count_filters(),
     )
     for family, lo in VALIDATED_FROM.items():
         poly, size, shift = polynomial_row(family)
@@ -158,28 +176,24 @@ def _method_agreement(report: VerificationReport, census_hi: int, formula_hi: in
             lo,
             formula_hi // size,
             lambda n, f=family: IntPoly([coeff_by_recurrence(f, n, k) for k in range(2 * n + 2)]),
-            lambda n, p=poly, s=size, h=shift: tables.recurrence_poly(p, s * n + h),
+            lambda n, r=rows[poly, "recurrence"], s=size, h=shift: r[s * n + h],
         )
-
-
-def _vertex_counts(report: VerificationReport, census_hi: int) -> None:
-    small = {0: 1, 1: 2, 2: 3}
     report.compare_range(
         "vertex count: filters vs 2*fib",
         0,
         census_hi,
-        lambda n: sfence(n).count_filters(),
-        lambda n: small[n] if n < 3 else 2 * fib(n),
+        lambda n: posets[n].count_filters(),
+        lambda n: (1, 2, 3)[n] if n < 3 else 2 * fib(n),
     )
 
 
-def _identity_suite(report: VerificationReport, census_hi: int, formula_hi: int) -> None:
+def _identity_suite(report: VerificationReport, rows, diagrams, census_hi, formula_hi) -> None:
     report.compare_range(
         "indegree(1+x) equals cube polynomial (recurrence route)",
         0,
         formula_hi,
-        lambda n: tables.recurrence_poly("indegree", n).compose(_ONE_PLUS_X),
-        lambda n: tables.recurrence_poly("cube", n),
+        lambda n: rows["indegree", "recurrence"][n].compose(_ONE_PLUS_X),
+        rows["cube", "recurrence"].__getitem__,
     )
     # the native census counts cubes as indegree(1+x), so the cube side is
     # taken from the diagram scan to keep this check from being circular;
@@ -189,14 +203,14 @@ def _identity_suite(report: VerificationReport, census_hi: int, formula_hi: int)
         "indegree(1+x) equals cube polynomial (census route)",
         0,
         min(census_hi, QD_CENSUS_MAX_N),
-        lambda n: tables.census_poly("indegree", n).compose(_ONE_PLUS_X),
-        lambda n: tables.diagram_poly("cube", tables.phi_diagram(n)),
+        lambda n: rows["indegree", "census"][n].compose(_ONE_PLUS_X),
+        lambda n: tables.diagram_poly("cube", diagrams[n]),
     )
     report.compare_range(
         "maximal cubes at x=1 equal Padovan numbers",
         3,
         formula_hi,
-        lambda n: tables.recurrence_poly("maxcube", n)(1),
+        lambda n: rows["maxcube", "recurrence"][n](1),
         lambda n: padovan133(n - 2),
     )
     for family in ("rank", "degree", "indegree"):
@@ -204,14 +218,14 @@ def _identity_suite(report: VerificationReport, census_hi: int, formula_hi: int)
             f"{family}: closed-form coefficient sum equals 2*fib",
             3,
             formula_hi,
-            lambda n, f=family: tables.closed_poly(f, n)(1),
+            lambda n, r=rows[family, "closed form"]: r[n](1),
             lambda n: 2 * fib(n),
         )
     report.compare_range(
         "rank generating function at x=1 equals 2*fib",
         3,
         formula_hi,
-        lambda n, gf=tables.gf_polys("rank", formula_hi + 1): gf[n](1),
+        lambda n: rows["rank", "generating function"][n](1),
         lambda n: 2 * fib(n),
     )
     report.compare_range(
@@ -249,8 +263,8 @@ def _interleaving(report: VerificationReport, formula_hi: int) -> None:
     )
 
 
-def _split_checks(report: VerificationReport, tag: str, n: int, host, interval, cutting) -> None:
-    """One split of phi(n): the cutting, counts, rank split, cube identity, iso.
+def _split_checks(report: VerificationReport, tag, n, host, interval, cutting, direct) -> None:
+    """One split of ``direct`` = phi(n): the cutting, counts, rank split, cube identity, iso.
 
     ``cutting`` is what the interval should be as its own diagram: the text
     after "matches", that diagram, and the failure detail.  Every split
@@ -296,12 +310,12 @@ def _split_checks(report: VerificationReport, tag: str, n: int, host, interval, 
     report.check(
         f"{tag}: expansion is isomorphic to the direct construction",
         scope,
-        _isomorphic(expanded, tables.phi_diagram(n)),
+        _isomorphic(expanded, direct),
         "no rank-preserving isomorphism found",
     )
 
 
-def _structural(report: VerificationReport, hi: int) -> None:
+def _structural(report: VerificationReport, hi: int, posets, diagrams) -> None:
     for n in range(5, hi + 1):
         host = filter_lattice(fence(n - 1).dual())
         interval = Interval(host.bottom, host.find_filter({1, 2, 3}))
@@ -313,20 +327,11 @@ def _structural(report: VerificationReport, hi: int) -> None:
         )
         fences = filter_lattice(fence(n - 4))
         cutting = ("the short fence lattice", fences, "cutting is not the expected fence lattice")
-        _split_checks(report, "dual-fence split", n, host, interval, cutting)
+        _split_checks(report, "dual-fence split", n, host, interval, cutting, diagrams[n])
     for n in range(6, hi + 1):
-        host, interval = _last_element_split(n)
-        smaller = tables.phi_diagram(n - 2)
-        cutting = ("the smaller cube", smaller, "cutting is not the expected smaller cube")
-        _split_checks(report, "last-element split", n, host, interval, cutting)
-
-
-def _last_element_split(n: int):
-    """``deletion_cutting(sfence(n), n)`` on the cached host: S-fence n minus n is S-fence n - 1."""
-    poset = sfence(n)
-    host = tables.phi_diagram(n - 1)
-    bottom = host.find_filter(set(range(1, n)) - poset.down_set(n))
-    return host, Interval(bottom, host.find_filter(poset.up_set(n)))
+        host, interval = deletion_cutting(posets[n], n)
+        cutting = ("the smaller cube", diagrams[n - 2], "cutting is not the expected smaller cube")
+        _split_checks(report, "last-element split", n, host, interval, cutting, diagrams[n])
 
 
 def _isomorphic(a, b) -> bool:
@@ -335,39 +340,26 @@ def _isomorphic(a, b) -> bool:
     return ja is not None and jb is not None and ja.is_isomorphic(jb)
 
 
-def _conexp_counts(report: VerificationReport, hi: int) -> None:
+def _conexp_counts(posets, hi: int):
+    """The failure details of the filter-count split over S-fences and fences to ``hi``."""
     for n in range(0, hi + 1):
-        for poset in (sfence(n), fence(n)):
+        for poset in (posets[n], fence(n)):
             total = poset.count_filters()
             for x in poset.elements:
                 split = poset.remove(x).count_filters() + poset.star_remove(x).count_filters()
                 if split != total:
-                    report.check(
-                        "filter counts split under element deletion",
-                        f"n<={hi}",
-                        False,
-                        f"element {x} of a {len(poset)}-element poset: {split} != {total}",
-                    )
-                    return
-    report.check("filter counts split under element deletion", f"n<={hi}", True)
+                    yield f"element {x} of a {len(poset)}-element poset: {split} != {total}"
 
 
-def _generic_cubes(report: VerificationReport, hi: int) -> None:
+def _generic_cubes(diagrams, hi: int):
+    """The failure details of the subgraph search against the cube scan to ``hi``."""
     for n in range(0, hi + 1):
-        diagram = tables.phi_diagram(n)
-        graph = underlying_graph(diagram)
-        poly = cube_polynomial(diagram)
+        graph = underlying_graph(diagrams[n])
+        poly = cube_polynomial(diagrams[n])
         for k in range(0, 4):
             got = generic_cube_count(graph, k)
             if got != poly.coeff(k):
-                report.check(
-                    "subgraph search agrees with interval cube census",
-                    f"n<={hi}, k<=3",
-                    False,
-                    f"n={n}, k={k}: {got} vs {poly.coeff(k)}",
-                )
-                return
-    report.check("subgraph search agrees with interval cube census", f"n<={hi}, k<=3", True)
+                yield f"n={n}, k={k}: {got} vs {poly.coeff(k)}"
 
 
 # -- erratum probes -----------------------------------------------------------
@@ -379,7 +371,7 @@ def _generic_cubes(report: VerificationReport, hi: int) -> None:
 _ERRATA = (("cube", 4), ("indegree", 3), ("degree", 4))
 
 
-def _erratum_probes(report: VerificationReport, census_hi: int) -> None:
+def _erratum_probes(report: VerificationReport, rows, census_hi: int) -> None:
     for family, stated_from in _ERRATA:
         statement = COEFF_RECURRENCES[family].statement
         valid_from = VALIDATED_FROM[family]
@@ -388,23 +380,23 @@ def _erratum_probes(report: VerificationReport, census_hi: int) -> None:
             continue
 
         terms = stated_terms(statement)
-        rows = partial(tables.census_poly, family)
+        row = rows[family, "census"]
 
         def predict(n):
-            return IntPoly(stated_step(terms, n, lambda i: rows(i).coeffs))
+            return IntPoly(stated_step(terms, n, lambda i: row[i].coeffs))
 
         details = []
         ok = True
         for n in probe_ns:
             predicted = predict(n)
-            actual = rows(n)
+            actual = row[n]
             if predicted == actual:
                 ok = False
                 details.append(f"expected mismatch at n={n} but the recurrence holds")
             else:
                 details.append(f"n={n}: recurrence gives {predicted}, census gives {actual}")
         for n in range(valid_from, census_hi + 1):
-            if predict(n) != rows(n):
+            if predict(n) != row[n]:
                 ok = False
                 details.append(f"recurrence unexpectedly fails at n={n}")
                 break

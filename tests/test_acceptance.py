@@ -30,6 +30,10 @@ ONE_PLUS_X = IntPoly([1, 1])
 X = IntPoly([0, 1])
 
 
+def _phi(n):
+    return filter_lattice(sfence(n))
+
+
 @contextmanager
 def criterion(num: int, description: str, budget_s: float | None = None):
     start = time.monotonic()
@@ -105,12 +109,12 @@ def test_criterion_5_structural_isomorphisms():
             interval = Interval(host.bottom, host.find_filter({1, 2, 3}))
             assert is_cutting(host, interval), n
             expanded = convex_expansion(host, interval)
-            assert _isomorphic(expanded, tables.phi_diagram(n)), ("dual-fence form", n)
+            assert _isomorphic(expanded, _phi(n)), ("dual-fence form", n)
         for n in range(6, 10):
             host, interval = deletion_cutting(sfence(n), n)
-            assert _isomorphic(interval_diagram(host, interval), tables.phi_diagram(n - 2)), n
+            assert _isomorphic(interval_diagram(host, interval), _phi(n - 2)), n
             expanded = convex_expansion(host, interval)
-            assert _isomorphic(expanded, tables.phi_diagram(n)), ("last-element form", n)
+            assert _isomorphic(expanded, _phi(n)), ("last-element form", n)
 
 
 def test_criterion_6_deletion_count_split():
@@ -129,7 +133,7 @@ def test_criterion_6_deletion_count_split():
 def test_criterion_7_oracle_independence():
     with criterion(7, "subgraph search and Boolean-interval cube counts agree"):
         for n in range(7):
-            diagram = tables.phi_diagram(n)
+            diagram = _phi(n)
             graph = underlying_graph(diagram)
             poly = cube_polynomial(diagram)
             for k in range(4):

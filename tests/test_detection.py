@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from flcubes import census, formulas, genfun, lattice, poset, tables, verify
+from flcubes import census, formulas, genfun, lattice, verify
 from flcubes.lattice import Interval, is_cutting
 from flcubes.polynomials import IntPoly
 from flcubes.verify import run_verification
@@ -18,13 +18,9 @@ DEGREE_ERRATUM = (
 
 
 def _clear_memos():
+    """Clear the row windows and the series rows, the only rows kept past a run."""
     formulas._KEPT.clear()
     formulas._COEFF_ROWS.clear()
-    tables._sfence_census.cache_clear()
-    tables.phi_diagram.cache_clear()
-    tables._closed_row.cache_clear()
-    poset.sfence.cache_clear()
-    poset.fence.cache_clear()
     genfun._FRACTION_ROWS.clear()
 
 
@@ -78,9 +74,9 @@ def _cube_gf_with_one_numerator_coefficient_changed():
 def test_a_fault_swapped_in_after_a_warm_run_fails_the_lines_it_fails_from_cold(
     fresh_memos, monkeypatch, table, fault, failing
 ):
-    # the closed-form rows are keyed on the coefficient function and the
-    # expansion rows on the series' numerator and denominator, so neither
-    # memo can answer for the swapped route
+    # the closed-form rows are evaluated anew on each run and the expansion
+    # rows are keyed on the series' numerator and denominator, so no kept
+    # row can answer for the swapped route
     with monkeypatch.context() as local:
         local.setitem(table, "cube", fault)
         cold = _non_passing()

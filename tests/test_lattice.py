@@ -22,7 +22,6 @@ from conftest import (
     reduced_poset,
 )
 from flcubes import poset as poset_module
-from flcubes import tables
 from flcubes.census import cube_polynomial, rank_polynomial
 from flcubes.errors import CapacityError
 from flcubes.lattice import (
@@ -451,7 +450,7 @@ def test_expansion_is_linear_in_the_host():
     start = time.perf_counter()
     expanded = convex_expansion(host, interval)
     elapsed = time.perf_counter() - start
-    direct = tables.phi_diagram(18)
+    direct = phi(18)
     assert len(expanded) == len(direct) == 5168
     assert rank_polynomial(expanded) == rank_polynomial(direct)
     assert cube_polynomial(expanded) == cube_polynomial(direct)

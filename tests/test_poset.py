@@ -243,10 +243,15 @@ def test_count_filters_equals_the_enumeration_before_and_after_it(p):
     assert p.count_filters() == len(p.filter_masks()) == len(cold.filters())
 
 
-def test_fence_constructors_are_memoized_per_n():
-    for n in range(8):
-        assert sfence(n) is sfence(n)
-        assert fence(n) is fence(n)
+def test_fence_and_sfence_covers_match_their_definitions():
+    for n in range(41):
+        ground = range(1, n + 1)
+        # even-indexed elements cover their odd neighbours
+        zigzag = {(a, b) for a in ground for b in ground if a % 2 == 0 and abs(a - b) == 1}
+        assert fence(n).covers == zigzag, n
+        # 1>2, 2>3, 4>2, 4>5, then 2i > 2i-1 and 2i > 2i+1 from the third tooth on
+        head = {(a, b) for a, b in ((1, 2), (2, 3), (4, 2), (4, 5)) if max(a, b) <= n}
+        assert sfence(n).covers == head | {(a, b) for a, b in zigzag if a >= 6}, n
 
 
 @given(posets())

@@ -1,7 +1,7 @@
 import pytest
 
 from flcubes import tables, verify
-from flcubes.lattice import deletion_cutting
+from flcubes.lattice import filter_lattice
 from flcubes.poset import sfence
 from flcubes.verify import CheckRecord, VerificationReport, run_verification
 
@@ -65,36 +65,39 @@ def test_probe_records_carry_polynomials():
     assert "census gives" in cube_probe.detail
 
 
+def _recording(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper; returns the list of its call arguments."""
+    real, calls = getattr(module, name), []
+
+    def recorder(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, recorder)
+    return calls
+
+
 def test_verify_builds_no_diagram_past_the_census_identity_range(monkeypatch):
-    real = tables.phi_diagram
-    built = []
-
-    def recorder(n):
-        built.append(n)
-        return real(n)
-
-    monkeypatch.setattr(tables, "phi_diagram", recorder)
+    built = _recording(monkeypatch, verify, "filter_lattice")
     assert run_verification(18).exit_code == 0
-    assert built and max(built) <= verify.QD_CENSUS_MAX_N
+    assert built and max(len(p) for (p,) in built) <= verify.QD_CENSUS_MAX_N
+
+
+def test_verify_builds_each_census_and_recurrence_row_once_per_run(monkeypatch):
+    censuses = _recording(monkeypatch, verify, "poset_census")
+    recurrences = _recording(monkeypatch, tables, "recurrence_poly")
+    assert run_verification(18).exit_code == 0
+    assert [len(p) for (p,) in censuses] == list(range(19))
+    assert recurrences and len(set(recurrences)) == len(recurrences)
 
 
 def test_structural_checks_pass_past_the_reported_range():
     # S-fence 12 has 288 vertices and S-fence 14 has 754; no structural
     # check has a vertex bound of its own
     report = VerificationReport(14)
-    verify._structural(report, 14)
+    posets = [sfence(n) for n in range(15)]
+    verify._structural(report, 14, posets, [filter_lattice(p) for p in posets])
     assert len(report.records) == 10 * 6 + 9 * 5
     assert all(r.status == "pass" for r in report.records), [
         r.render() for r in report.records if r.status != "pass"
     ]
-
-
-def test_last_element_split_cuts_the_cached_host_like_deletion_cutting():
-    for n in range(6, 19):
-        assert sfence(n).remove(n) == sfence(n - 1)
-        host, interval = verify._last_element_split(n)
-        assert host is tables.phi_diagram(n - 1)
-        built, cutting = deletion_cutting(sfence(n), n)
-        assert [host.vertices[v] for v in host.interval_members(interval)] == [
-            built.vertices[v] for v in built.interval_members(cutting)
-        ]
