@@ -23,16 +23,21 @@ Neither census needs a join of its own; a table test against a passed
 bottom's one top is one AND of the diagram's order masks.  The scan refuses
 diagrams whose masks (about 2·V² bits) or joins (one per subset of each
 vertex's covers) exceed its bounds.  The poset-native census counts
-the same six families from the filters' minimal and addable elements, in one
-linear pass and without building the diagram; the diagram scan is the oracle
-it is tested against.  No closed form or recurrence is consulted, so these
+the same six families from the filters' minimal and addable elements without
+building the diagram.  It is bit-sliced: one set of filters per element, as
+a big int with one bit per filter, and a few ANDs and ORs per cover give
+the filters in which each element is minimal or addable, and vertical
+counters over those sets give every histogram; the diagram scan is the
+oracle it is tested against.  No closed form or recurrence is consulted, so these
 results can arbitrate them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain, repeat
 from math import comb
+from operator import and_, rshift
 from typing import Iterable
 from weakref import WeakKeyDictionary
 
@@ -250,55 +255,101 @@ def poset_census(poset: Poset) -> dict[str, IntPoly]:
     [f, f minus S] for S a subset of min(f), so f is the bottom of
     C(#min f, k) cubes of dimension k.  Only S = min(f) can be maximal, and
     it is unless an addable element a lies below no element of min(f), in
-    which case [f plus a, f minus min(f)] contains it.  One pass over the
-    filter masks counts everything.  The elements strictly above (or below)
-    any element set are the union of three table lookups, one per chunk of
-    ceil(|P| / 3) elements; the six tables are built once per poset, after
-    the filter enumeration has checked its bounds, so a chunk has at most
-    11 elements.
+    which case [f plus a, f minus min(f)] contains it.
+
+    The census is bit-sliced: the filters are numbered 0..V-1 in the order
+    ``filter_masks`` lists them, and every quantity is a V-bit set of
+    filters, so each step below is a few big-int operations for all V
+    filters at once.  ``F[e]`` holds the filters that hold element e; it is
+    transposed from the masks eight elements at a time, as one byte per
+    filter, each element's bit of the bytes spelled out as base-2 digits
+    (a power-of-two base, so no int-string digit limit applies).  Because
+    filters are up-sets, covers decide the rest exactly:
+
+    - e is minimal in f iff e is in f and no lower cover c of e is: an
+      element of f strictly below e would lie above some lower cover of e,
+      which f would then hold.  So M[e] = F[e] minus the union of F[c].
+    - e is addable to f iff e is not in f and every upper cover of e is:
+      everything strictly above e lies above an upper cover, so f holds it.
+      So A[e] = the intersection of F[c] over the upper covers c, minus
+      F[e]; a maximal element has no upper cover, and A[e] is every filter
+      without e.
+    - f is no maximal cube's bottom iff some a addable to f lies strictly
+      below no minimal element of f, that is iff f is in A[a] and in no M[m]
+      for m strictly above a; NotMax is the union of those sets over a.
+
+    Per-filter counts are summed into a vertical counter, one V-bit plane
+    per binary digit, with a ripple carry per added set; splitting the
+    filters on each plane in turn leaves one set per count value, whose
+    popcount is that value's coefficient.  The F sets count |f|, the M sets
+    the indegree, the A sets the outdegree and both together the degree;
+    the maximal cubes are the indegree histogram of the filters outside
+    NotMax, and the cubes follow from the indegree histogram by C(m, k).
     """
     masks = poset.filter_masks()
     n = len(poset)
-    full = (1 << n) - 1
-    w = -(-n // 3)
-    w2, low = 2 * w, (1 << w) - 1
-    a0, a1, a2 = _chunk_unions(poset._strict_up, w)
-    b0, b1, b2 = _chunk_unions(poset._strict_down, w)
+    every = (1 << len(masks)) - 1
+    held: list[int] = []  # held[e]: bit i is set iff filter i holds element e
+    for lo in range(0, n, 8):
+        column = bytes(map(and_, map(rshift, masks, repeat(lo)), repeat(255)))
+        held += (int(column.translate(_DIGITS[b])[::-1], 2) for b in range(min(8, n - lo)))
+    below_held, covers_held = [0] * n, [every] * n
+    for a, b in poset._cover_pos:  # a covers b
+        below_held[a] |= held[b]
+        covers_held[b] &= held[a]
+    mins = [f & ~c for f, c in zip(held, below_held)]
+    adds = [c & ~f for f, c in zip(held, covers_held)]
+    not_max = 0
+    for up, addable in zip(poset._strict_up, adds):
+        under_a_min = 0
+        for m in range(n):
+            if up >> m & 1:
+                under_a_min |= mins[m]
+        not_max |= addable & ~under_a_min
 
-    def kind(f: int) -> tuple[int, int, int, bool]:
-        rest = full ^ f
-        mins = f & ~(a0[f & low] | a1[f >> w & low] | a2[f >> w2])
-        addable = rest & ~(b0[rest & low] | b1[rest >> w & low] | b2[rest >> w2])
-        maximal = not addable & ~(b0[mins & low] | b1[mins >> w & low] | b2[mins >> w2])
-        return n - f.bit_count(), mins.bit_count(), addable.bit_count(), maximal
-
-    kinds = Counter(map(kind, masks))
-
-    counts: dict[str, Counter[int]] = {family: Counter() for family in DIAGRAM_CENSUS}
-    for (rank, ins, outs, maximal), c in kinds.items():
-        counts["rank"][rank] += c
-        counts["indegree"][ins] += c
-        counts["outdegree"][outs] += c
-        counts["degree"][ins + outs] += c
-        for k in range(ins + 1):
-            counts["cube"][k] += c * comb(ins, k)
-        if maximal:
-            counts["maxcube"][ins] += c
-    return {family: _poly_of(counter) for family, counter in counts.items()}
+    sizes = _split(_counter(held), every)
+    ins = _counter(mins)
+    indegree = _split(ins, every)
+    cubes = [0] * len(indegree.coeffs)
+    for m, c in enumerate(indegree.coeffs):
+        for k in range(m + 1):
+            cubes[k] += c * comb(m, k)
+    polys = {
+        "rank": IntPoly(sizes.coeff(n - k) for k in range(n + 1)),
+        "cube": IntPoly(cubes),
+        "maxcube": _split(ins, every & ~not_max),
+        "degree": _split(_counter(chain(mins, adds)), every),
+        "indegree": indegree,
+        "outdegree": _split(_counter(adds), every),
+    }
+    return {family: polys[family] for family in DIAGRAM_CENSUS}
 
 
-def _chunk_unions(masks: tuple[int, ...], width: int) -> list[list[int]]:
-    """For each of three chunks of ``width`` elements, the union of ``masks``
-    over every subset of the chunk, indexed by the subset shifted down to bit 0."""
-    tables = []
-    for lo in (0, width, 2 * width):
-        part = masks[lo : lo + width]
-        table = [0] * (1 << len(part))
-        for s in range(1, len(table)):
-            bit = s & -s
-            table[s] = table[s ^ bit] | part[bit.bit_length() - 1]
-        tables.append(table)
-    return tables
+# _DIGITS[b] maps a byte to the base-2 digit of its bit b
+_DIGITS = [bytes(b"01"[v >> b & 1] for v in range(256)) for b in range(8)]
+
+
+def _counter(sets: Iterable[int]) -> list[int]:
+    """Vertical counter of ``sets``: bit i of plane b is binary digit b of
+    the number of the sets that hold i."""
+    planes: list[int] = []
+    for carry in sets:
+        b = 0
+        while carry:
+            if b == len(planes):
+                planes.append(carry)
+                break
+            planes[b], carry = planes[b] ^ carry, planes[b] & carry
+            b += 1
+    return planes
+
+
+def _split(planes: list[int], within: int) -> IntPoly:
+    """Coefficient k counts the members of ``within`` whose counter reads k."""
+    leaves = [within]
+    for plane in planes:  # leaves[k] holds the members whose lower digits read k
+        leaves = [s & ~plane for s in leaves] + [s & plane for s in leaves]
+    return IntPoly(s.bit_count() for s in leaves)
 
 
 # -- independent oracle -------------------------------------------------------

@@ -10,15 +10,9 @@ recurrence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .polynomials import IntPoly
-
-
-# fraction_coeffs' rows per (numerator, denominator), extended on demand and
-# kept for the life of the process, so that exactness_failure multiplies back
-# the rows expand has built instead of expanding the series again (4.6 % of
-# the benchmark's formulas operation when it was added)
-_FRACTION_ROWS: dict[tuple[tuple[IntPoly, ...], tuple[IntPoly, ...]], list[IntPoly]] = {}
 
 
 def _p(*coeffs: int) -> IntPoly:
@@ -37,19 +31,22 @@ class RationalSeries:
         object.__setattr__(self, "correction", tuple(self.correction))
         if not self.denominator or self.denominator[0] != IntPoly.one():
             raise ValueError("denominator constant term must be 1")
+        # fraction_coeffs' rows, extended on demand and dropped with the series,
+        # so that exactness_failure multiplies back the rows expand has built
+        # instead of expanding the series again (4.6 % of the benchmark's
+        # formulas operation when it was added)
+        object.__setattr__(self, "_rows", [])
 
     def fraction_coeffs(self, count: int) -> list[IntPoly]:
         """First ``count`` coefficients of numerator/denominator alone.
 
-        The rows are memoized in ``_FRACTION_ROWS``, keyed on (numerator,
-        denominator), for the life of the process, and extended when a call
-        asks for more; each call gets its own list, so a caller that edits
-        it, as ``expand`` does, leaves the memo alone.
+        The rows are memoized on the series, for as long as it lives, and
+        extended when a call asks for more; each call gets its own list, so a
+        caller that edits it, as ``expand`` does, leaves the memo alone.
         """
         if count < 0:
             raise ValueError("count must be non-negative")
-        num, den = self.numerator, self.denominator
-        out = _FRACTION_ROWS.setdefault((num, den), [])
+        num, den, out = self.numerator, self.denominator, self._rows
         neg_den = [-d for d in den[1:]]
         for n in range(len(out), count):
             # c_n = num_n - sum of den_i * c_(n-i), i = 1, 2, ...
@@ -69,8 +66,8 @@ class RationalSeries:
         """Re-multiply the expansion by the denominator; describe the first
         coefficient that fails to reproduce the numerator, or None.
 
-        The expansion is ``fraction_coeffs``', so rows a caller has already
-        expanded are read from its memo rather than computed again.
+        The expansion is ``fraction_coeffs``', so rows already expanded on
+        this series are read from its memo rather than computed again.
         """
         frac = self.fraction_coeffs(count)
         for n in range(count):
@@ -84,8 +81,11 @@ class RationalSeries:
 
 
 # -- the concrete series -----------------------------------------------------
+# Each builder returns one series per process, so ``tables.gf_polys`` and the
+# exactness checks share its rows.
 
 
+@cache
 def rank_gf() -> RationalSeries:
     """Generating function of the rank polynomials."""
     return RationalSeries(
@@ -94,6 +94,7 @@ def rank_gf() -> RationalSeries:
     )
 
 
+@cache
 def rank_even_gf() -> RationalSeries:
     """Generating function of the even-index rank polynomials (z-variable)."""
     return RationalSeries(
@@ -103,6 +104,7 @@ def rank_even_gf() -> RationalSeries:
     )
 
 
+@cache
 def rank_odd_gf() -> RationalSeries:
     """Generating function of the odd-index rank polynomials (z-variable)."""
     return RationalSeries(
@@ -111,6 +113,7 @@ def rank_odd_gf() -> RationalSeries:
     )
 
 
+@cache
 def cube_gf() -> RationalSeries:
     """Generating function of the cube polynomials."""
     return RationalSeries(
@@ -119,6 +122,7 @@ def cube_gf() -> RationalSeries:
     )
 
 
+@cache
 def maxcube_gf() -> RationalSeries:
     """Generating function of the maximal-cube polynomials."""
     return RationalSeries(
@@ -128,6 +132,7 @@ def maxcube_gf() -> RationalSeries:
     )
 
 
+@cache
 def degree_gf() -> RationalSeries:
     """Generating function of the degree polynomials."""
     return RationalSeries(
@@ -137,6 +142,7 @@ def degree_gf() -> RationalSeries:
     )
 
 
+@cache
 def indegree_gf() -> RationalSeries:
     """Generating function of the indegree polynomials."""
     return RationalSeries(

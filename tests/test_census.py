@@ -2,10 +2,12 @@ import gc
 import random
 import time
 import weakref
+from collections import Counter
 from itertools import combinations
+from math import comb
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import golden_tables
@@ -44,7 +46,7 @@ from flcubes.lattice import (
     underlying_graph,
 )
 from flcubes.polynomials import IntPoly
-from flcubes.poset import Poset, fence, sfence
+from flcubes.poset import FILTER_COUNT_BOUND, Poset, fence, sfence
 from flcubes.verify import run_verification
 
 CENSUS_FN = {
@@ -689,6 +691,100 @@ def test_native_census_matches_diagram_census_on_every_seven_element_poset():
         assert join_irreducibles(diagram).is_isomorphic(poset)
         count += 1
     assert count == 96428
+
+
+def reference_census(poset):
+    """Every family from the definitions, one filter at a time.
+
+    e is minimal in f when f holds nothing strictly below it, a is addable
+    when f holds everything strictly above a but not a, and f's cube
+    [f, f minus min(f)] is maximal unless an addable element lies strictly
+    below no minimal one."""
+    n, up, down = len(poset), poset._strict_up, poset._strict_down
+    counts = {family: Counter() for family in tables.FAMILIES}
+    for f in poset.filter_masks():
+        mins = [e for e in range(n) if f >> e & 1 and not down[e] & f]
+        adds = [a for a in range(n) if not f >> a & 1 and not up[a] & ~f]
+        counts["rank"][n - f.bit_count()] += 1
+        counts["indegree"][len(mins)] += 1
+        counts["outdegree"][len(adds)] += 1
+        counts["degree"][len(mins) + len(adds)] += 1
+        for k in range(len(mins) + 1):
+            counts["cube"][k] += comb(len(mins), k)
+        if not any(all(not up[a] >> m & 1 for m in mins) for a in adds):
+            counts["maxcube"][len(mins)] += 1
+    return {
+        family: IntPoly(c[k] for k in range(max(c, default=-1) + 1))
+        for family, c in counts.items()
+    }
+
+
+def chain(n):
+    return chain_beside_antichain(n, 0)
+
+
+def antichain(n):
+    return chain_beside_antichain(0, n)
+
+
+CHAIN_SIZES = (8, 9, 16, 17, 24, 25, 32)
+
+
+@pytest.mark.parametrize("poset", [
+    sfence(19), sfence(20), fence(19), *map(chain, CHAIN_SIZES),
+    Poset((), frozenset()), Poset((1,), frozenset()),
+], ids=["sfence-19", "sfence-20", "fence-19", *(f"chain-{n}" for n in CHAIN_SIZES),
+        "empty", "one-element"])
+def test_native_census_matches_the_per_filter_reference_across_byte_boundaries(poset):
+    # elements are transposed eight at a time, one byte per filter, so
+    # these posets end on, just past and well past a byte's last element
+    assert poset_census(poset) == reference_census(poset)
+
+
+@st.composite
+def dense_posets(draw):
+    n = draw(st.integers(9, 24))
+    pairs = st.tuples(st.integers(2, n), st.integers(1, n - 1)).filter(lambda p: p[0] > p[1])
+    return reduced_poset(n, draw(st.sets(pairs, min_size=n, max_size=4 * n)))
+
+
+@given(dense_posets())
+@settings(max_examples=40, deadline=None)
+def test_native_census_matches_the_references_on_dense_posets_past_one_byte(p):
+    try:
+        count = p.count_filters()
+    except CapacityError:
+        count = FILTER_COUNT_BOUND + 1
+    assume(count <= FILTER_COUNT_BOUND)
+    assert poset_census(p) == reference_census(p)
+    if count <= 5000:  # the diagram scan's masks grow as the square of the count
+        assert_native_matches_diagram(p)
+
+
+def power(poly, k):
+    out = IntPoly([1])
+    for _ in range(k):
+        out = out * poly
+    return out
+
+
+def test_native_census_of_an_antichain_is_closed_form():
+    # 2^17 = 131 072 filters, the subsets of 17 incomparable elements
+    k = 17
+    got = poset_census(antichain(k))
+    assert got["rank"] == got["indegree"] == got["outdegree"] == power(IntPoly([1, 1]), k)
+    assert got["degree"] == IntPoly([0] * k + [2**k])
+    assert got["cube"] == power(IntPoly([2, 1]), k)
+    assert got["maxcube"] == IntPoly([0] * k + [1])
+
+
+def test_native_census_of_a_chain_is_closed_form():
+    got = poset_census(chain(32))
+    assert got["rank"] == IntPoly([1] * 33)
+    assert got["indegree"] == got["outdegree"] == IntPoly([1, 32])
+    assert got["degree"] == IntPoly([0, 2, 31])
+    assert got["cube"] == IntPoly([33, 32])
+    assert got["maxcube"] == IntPoly([0, 32])
 
 
 def test_sfence_census_refuses_past_the_lattice_bound():

@@ -18,10 +18,12 @@ DEGREE_ERRATUM = (
 
 
 def _clear_memos():
-    """Clear the row windows and the series rows, the only rows kept past a run."""
+    """Clear the row windows and the series rows, the only rows kept past a run;
+    the rows live on the series, which each builder makes once per process."""
     formulas._KEPT.clear()
     formulas._COEFF_ROWS.clear()
-    genfun._FRACTION_ROWS.clear()
+    for build in genfun.ALL_SERIES.values():
+        build.cache_clear()
 
 
 @pytest.fixture
@@ -75,8 +77,8 @@ def test_a_fault_swapped_in_after_a_warm_run_fails_the_lines_it_fails_from_cold(
     fresh_memos, monkeypatch, table, fault, failing
 ):
     # the closed-form rows are evaluated anew on each run and the expansion
-    # rows are keyed on the series' numerator and denominator, so no kept
-    # row can answer for the swapped route
+    # rows live on the series that expanded them, so no kept row can answer
+    # for the swapped route
     with monkeypatch.context() as local:
         local.setitem(table, "cube", fault)
         cold = _non_passing()

@@ -1,9 +1,12 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import golden_tables
-from flcubes import genfun, tables
+from flcubes import tables
 from flcubes.formulas import COEFF_RECURRENCES, RECURRENCES, fib, stated_terms
 from flcubes.genfun import (
     ALL_SERIES,
@@ -194,11 +197,26 @@ def test_callers_get_their_own_rows():
 @pytest.mark.parametrize("family", sorted(ALL_SERIES))
 def test_rows_read_from_a_longer_or_shorter_expansion_equal_cold_rows(family):
     series = ALL_SERIES[family]()
-    genfun._FRACTION_ROWS.clear()
+    series._rows.clear()
     cold_10 = series.fraction_coeffs(10)
-    genfun._FRACTION_ROWS.clear()
+    series._rows.clear()
     cold_50 = series.fraction_coeffs(50)
     assert series.fraction_coeffs(10) == cold_10  # read from the longer rows
-    genfun._FRACTION_ROWS.clear()
+    series._rows.clear()
     series.fraction_coeffs(10)
     assert series.fraction_coeffs(50) == cold_50  # extended from the shorter rows
+
+
+@pytest.mark.parametrize("family", sorted(ALL_SERIES))
+def test_each_series_is_built_once_and_its_rows_go_with_it(family):
+    series = ALL_SERIES[family]()
+    assert ALL_SERIES[family]() is series
+    tables.gf_polys(family, 30)
+    assert len(series._rows) >= 30  # the rows the exactness check multiplies back
+    twin = RationalSeries(series.numerator, series.denominator, series.correction)
+    assert twin == series and twin._rows is not series._rows
+    assert twin.fraction_coeffs(30) == series.fraction_coeffs(30)
+    gone = weakref.ref(twin)
+    del twin
+    gc.collect()
+    assert gone() is None
