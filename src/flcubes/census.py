@@ -24,12 +24,12 @@ bottom's one top is one AND of the diagram's order masks.  The scan refuses
 diagrams whose masks (about 2·V² bits) or joins (one per subset of each
 vertex's covers) exceed its bounds.  The poset-native census counts
 the same six families from the filters' minimal and addable elements without
-building the diagram.  It is bit-sliced: one set of filters per element, as
-a big int with one bit per filter, and a few ANDs and ORs per cover give
-the filters in which each element is minimal or addable, and vertical
+building the diagram.  It is bit-sliced: from one set of filters per
+element, a big int with one bit per filter, a few ANDs and ORs per cover
+give the filters in which each element is minimal or addable, and vertical
 counters over those sets give every histogram; the diagram scan is the
-oracle it is tested against.  No closed form or recurrence is consulted, so these
-results can arbitrate them.
+oracle it is tested against.  No closed form or recurrence is consulted, so
+these results can arbitrate them.
 """
 
 from __future__ import annotations
@@ -245,6 +245,10 @@ DIAGRAM_CENSUS = {
 
 # -- poset-native census ------------------------------------------------------
 
+# _DIGITS[b] maps a byte to the base-2 digit of its bit b, which runs through
+# 2^b zeros and then 2^b ones as the byte counts up
+_DIGITS = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8)]
+
 
 def poset_census(poset: Poset) -> dict[str, IntPoly]:
     """Every family of ``DIAGRAM_CENSUS`` on the filter lattice of ``poset``, without building it.
@@ -260,7 +264,7 @@ def poset_census(poset: Poset) -> dict[str, IntPoly]:
     The census is bit-sliced: the filters are numbered 0..V-1 in the order
     ``filter_masks`` lists them, and every quantity is a V-bit set of
     filters, so each step below is a few big-int operations for all V
-    filters at once.  ``F[e]`` holds the filters that hold element e; it is
+    filters at once.  F[e] (``held[e]``) holds the filters that hold e; it is
     transposed from the masks eight elements at a time, as one byte per
     filter, each element's bit of the bytes spelled out as base-2 digits
     (a power-of-two base, so no int-string digit limit applies).  Because
@@ -268,15 +272,17 @@ def poset_census(poset: Poset) -> dict[str, IntPoly]:
 
     - e is minimal in f iff e is in f and no lower cover c of e is: an
       element of f strictly below e would lie above some lower cover of e,
-      which f would then hold.  So M[e] = F[e] minus the union of F[c].
+      which f would then hold.  So M[e] (``mins``) = F[e] minus the union
+      of F[c].
     - e is addable to f iff e is not in f and every upper cover of e is:
       everything strictly above e lies above an upper cover, so f holds it.
-      So A[e] = the intersection of F[c] over the upper covers c, minus
-      F[e]; a maximal element has no upper cover, and A[e] is every filter
-      without e.
+      So A[e] (``adds``) = the intersection of F[c] over the upper covers
+      c, minus F[e]; a maximal element has no upper cover, and A[e] is
+      every filter without e.
     - f is no maximal cube's bottom iff some a addable to f lies strictly
       below no minimal element of f, that is iff f is in A[a] and in no M[m]
-      for m strictly above a; NotMax is the union of those sets over a.
+      for m strictly above a; NotMax (``not_max``) is the union of those
+      sets over a.
 
     Per-filter counts are summed into a vertical counter, one V-bit plane
     per binary digit, with a ripple carry per added set; splitting the
@@ -289,7 +295,7 @@ def poset_census(poset: Poset) -> dict[str, IntPoly]:
     masks = poset.filter_masks()
     n = len(poset)
     every = (1 << len(masks)) - 1
-    held: list[int] = []  # held[e]: bit i is set iff filter i holds element e
+    held: list[int] = []
     for lo in range(0, n, 8):
         column = bytes(map(and_, map(rshift, masks, repeat(lo)), repeat(255)))
         held += (int(column.translate(_DIGITS[b])[::-1], 2) for b in range(min(8, n - lo)))
@@ -323,10 +329,6 @@ def poset_census(poset: Poset) -> dict[str, IntPoly]:
         "outdegree": _split(_counter(adds), every),
     }
     return {family: polys[family] for family in DIAGRAM_CENSUS}
-
-
-# _DIGITS[b] maps a byte to the base-2 digit of its bit b
-_DIGITS = [bytes(b"01"[v >> b & 1] for v in range(256)) for b in range(8)]
 
 
 def _counter(sets: Iterable[int]) -> list[int]:
