@@ -25,16 +25,7 @@ from .formulas import (
     r_coeff,
     trinomial,
 )
-from .genfun import (
-    RationalSeries,
-    cube_gf,
-    degree_gf,
-    indegree_gf,
-    maxcube_gf,
-    rank_even_gf,
-    rank_gf,
-    rank_odd_gf,
-)
+from .genfun import ALL_SERIES, RationalSeries
 from .lattice import (
     Interval,
     LatticeDiagram,

@@ -5,18 +5,18 @@ A series is numerator / denominator plus an optional finite correction
 added outside the fraction.  The denominator's constant term must be the
 unit polynomial, which makes coefficient extraction an integer-exact linear
 recurrence.
+
+The seven series of the counting polynomials are stated once, as plain
+integer tuples in one table; ``ALL_SERIES[family]()`` returns the series of
+``family``, built on the first call and the same object on every later one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 
 from .polynomials import IntPoly
-
-
-def _p(*coeffs: int) -> IntPoly:
-    return IntPoly(coeffs)
 
 
 @dataclass(frozen=True)
@@ -81,83 +81,32 @@ class RationalSeries:
 
 
 # -- the concrete series -----------------------------------------------------
-# Each builder returns one series per process, so ``tables.gf_polys`` and the
-# exactness checks share its rows.
-
-
-@cache
-def rank_gf() -> RationalSeries:
-    """Generating function of the rank polynomials."""
-    return RationalSeries(
-        numerator=(_p(1), _p(1, 1), _p(0), _p(0, -1, -1), _p(0, -1, -1), _p(0), _p(0, 0, 1)),
-        denominator=(_p(1), _p(0), _p(-1, -1, -1), _p(0), _p(0, 0, 1)),
-    )
-
-
-@cache
-def rank_even_gf() -> RationalSeries:
-    """Generating function of the even-index rank polynomials (z-variable)."""
-    return RationalSeries(
-        numerator=(_p(1), _p(-1), _p(1)),
-        denominator=(_p(1), _p(-1, -1, -1), _p(0, 0, 1)),
-        correction=(_p(0), _p(1)),
-    )
-
-
-@cache
-def rank_odd_gf() -> RationalSeries:
-    """Generating function of the odd-index rank polynomials (z-variable)."""
-    return RationalSeries(
-        numerator=(_p(1, 1), _p(0, -1, -1)),
-        denominator=(_p(1), _p(-1, -1, -1), _p(0, 0, 1)),
-    )
-
-
-@cache
-def cube_gf() -> RationalSeries:
-    """Generating function of the cube polynomials."""
-    return RationalSeries(
-        numerator=(_p(1), _p(1, 1), _p(0), _p(-1, -2, -1), _p(-1, -2, -1)),
-        denominator=(_p(1), _p(-1), _p(-1, -1)),
-    )
-
-
-@cache
-def maxcube_gf() -> RationalSeries:
-    """Generating function of the maximal-cube polynomials."""
-    return RationalSeries(
-        numerator=(_p(1), _p(2)),
-        denominator=(_p(1), _p(0), _p(0, -1), _p(0, -1)),
-        correction=(_p(0), _p(-2, 1), _p(0, 1)),
-    )
-
-
-@cache
-def degree_gf() -> RationalSeries:
-    """Generating function of the degree polynomials."""
-    return RationalSeries(
-        numerator=(_p(1), _p(1), _p(0, 0, -1)),
-        denominator=(_p(1), _p(0, -1), _p(0, -1), _p(0, -1, 1)),
-        correction=(_p(0), _p(-1, 1), _p(0, 0, 1)),
-    )
-
-
-@cache
-def indegree_gf() -> RationalSeries:
-    """Generating function of the indegree polynomials."""
-    return RationalSeries(
-        numerator=(_p(1), _p(0, 1), _p(0), _p(0, 0, -1), _p(0, 0, -1)),
-        denominator=(_p(1), _p(-1), _p(0, -1)),
-    )
-
-
-ALL_SERIES = {
-    "rank": rank_gf,
-    "rank-even": rank_even_gf,
-    "rank-odd": rank_odd_gf,
-    "cube": cube_gf,
-    "maxcube": maxcube_gf,
-    "degree": degree_gf,
-    "indegree": indegree_gf,
+# family -> (numerator, denominator, correction), each a tuple of coefficients
+# of y^0, y^1, ..., each coefficient the x^0, x^1, ... coefficients of an IntPoly
+_SERIES = {
+    "rank": (
+        ((1,), (1, 1), (0,), (0, -1, -1), (0, -1, -1), (0,), (0, 0, 1)),
+        ((1,), (0,), (-1, -1, -1), (0,), (0, 0, 1)),
+        (),
+    ),
+    # rank polynomials 2m and 2m + 1 at y^m (the paper's z-variable)
+    "rank-even": (((1,), (-1,), (1,)), ((1,), (-1, -1, -1), (0, 0, 1)), ((0,), (1,))),
+    "rank-odd": (((1, 1), (0, -1, -1)), ((1,), (-1, -1, -1), (0, 0, 1)), ()),
+    "cube": (((1,), (1, 1), (0,), (-1, -2, -1), (-1, -2, -1)), ((1,), (-1,), (-1, -1)), ()),
+    "maxcube": (((1,), (2,)), ((1,), (0,), (0, -1), (0, -1)), ((0,), (-2, 1), (0, 1))),
+    "degree": (
+        ((1,), (1,), (0, 0, -1)),
+        ((1,), (0, -1), (0, -1), (0, -1, 1)),
+        ((0,), (-1, 1), (0, 0, 1)),
+    ),
+    "indegree": (((1,), (0, 1), (0,), (0, 0, -1), (0, 0, -1)), ((1,), (-1,), (0, -1)), ()),
 }
 
+
+def _series(*parts: tuple[tuple[int, ...], ...]) -> RationalSeries:
+    return RationalSeries(*(map(IntPoly, part) for part in parts))
+
+
+# family -> a builder that makes the series once per process, so that
+# ``tables.gf_polys`` and the exactness checks share its rows
+ALL_SERIES = {family: cache(partial(_series, *parts)) for family, parts in _SERIES.items()}

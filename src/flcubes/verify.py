@@ -28,7 +28,13 @@ from .formulas import (
     stated_step,
     stated_terms,
 )
-from .census import cube_polynomial, generic_cube_count, poset_census, rank_polynomial
+from .census import (
+    GENERIC_DIM_BOUND,
+    cube_polynomial,
+    generic_cube_count,
+    poset_census,
+    rank_polynomial,
+)
 from .genfun import ALL_SERIES
 from .lattice import (
     Interval,
@@ -43,12 +49,20 @@ from .lattice import (
 from .polynomials import IntPoly
 from .poset import fence, sfence
 
+# Each range is set by its cost, timed in-process (2-vCPU Xeon, Python
+# 3.11.7) against 84 ms for a whole run to n = 18.  All seven series
+# multiplied back to y^40: 9 ms (25 ms to y^80).
 GF_EXACTNESS_DEPTH = 40
+# Both splits to n = 9: 15 ms (52 ms to 12, 134 ms to 14).
 STRUCTURAL_MAX_N = 9
+# The filter-count split to n = 12: 16 ms (30 ms to 14, 156 ms to 18).
 CONEXP_MAX_N = 12
+# The subgraph oracle to n = 6: 1.5 ms; from n = 8 on the S-fence diagrams
+# have more vertices than census.GENERIC_GRAPH_BOUND.
 GENERIC_CUBE_MAX_N = 6
+# The filter lattices to n = 14, which the diagram checks read: 8 ms (64 ms
+# to 18).
 QD_CENSUS_MAX_N = 14
-INTERLEAVE_MAX_M = 20
 
 _X = IntPoly((0, 1))
 _ONE_PLUS_X = IntPoly((1, 1))
@@ -137,13 +151,14 @@ def run_verification(max_n: int) -> VerificationReport:
     _identity_suite(report, rows, diagrams, census_hi, formula_hi)
     _gf_exactness(report)
     _interleaving(report, formula_hi)
-    _structural(report, min(max_n, STRUCTURAL_MAX_N), posets, diagrams)
-    hi = min(max_n, CONEXP_MAX_N)
+    # each range below stops at the end of the list it reads
+    _structural(report, min(STRUCTURAL_MAX_N, len(diagrams) - 1), posets, diagrams)
+    hi = min(CONEXP_MAX_N, len(posets) - 1)
     name = "filter counts split under element deletion"
     report.record(name, f"n<={hi}", _conexp_counts(posets, hi))
-    hi = min(max_n, GENERIC_CUBE_MAX_N)
+    hi = min(GENERIC_CUBE_MAX_N, len(diagrams) - 1)
     name = "subgraph search agrees with interval cube census"
-    report.record(name, f"n<={hi}, k<=3", _generic_cubes(diagrams, hi))
+    report.record(name, f"n<={hi}, k<={GENERIC_DIM_BOUND}", _generic_cubes(diagrams, hi))
     _erratum_probes(report, rows, census_hi)
 
     return report
@@ -250,7 +265,7 @@ def _gf_exactness(report: VerificationReport) -> None:
 
 
 def _interleaving(report: VerificationReport, formula_hi: int) -> None:
-    hi_m = min(INTERLEAVE_MAX_M, formula_hi // 2)
+    hi_m = formula_hi // 2
     evens = tables.gf_polys("rank-even", hi_m + 1)
     odds = tables.gf_polys("rank-odd", hi_m + 1)
     ranks = tables.gf_polys("rank", 2 * hi_m + 2)
@@ -356,7 +371,7 @@ def _generic_cubes(diagrams, hi: int):
     for n in range(0, hi + 1):
         graph = underlying_graph(diagrams[n])
         poly = cube_polynomial(diagrams[n])
-        for k in range(0, 4):
+        for k in range(GENERIC_DIM_BOUND + 1):
             got = generic_cube_count(graph, k)
             if got != poly.coeff(k):
                 yield f"n={n}, k={k}: {got} vs {poly.coeff(k)}"
@@ -380,28 +395,25 @@ def _erratum_probes(report: VerificationReport, rows, census_hi: int) -> None:
             continue
 
         terms = stated_terms(statement)
-        row = rows[family, "census"]
-
-        def predict(n):
-            return IntPoly(stated_step(terms, n, lambda i: row[i].coeffs))
-
-        details = []
-        ok = True
-        for n in probe_ns:
-            predicted = predict(n)
-            actual = row[n]
-            if predicted == actual:
-                ok = False
-                details.append(f"expected mismatch at n={n} but the recurrence holds")
-            else:
-                details.append(f"n={n}: recurrence gives {predicted}, census gives {actual}")
-        for n in range(valid_from, census_hi + 1):
-            if predict(n) != row[n]:
-                ok = False
-                details.append(f"recurrence unexpectedly fails at n={n}")
-                break
-        else:
-            details.append(f"holds for n={valid_from}..{census_hi}")
+        census = rows[family, "census"]
+        coeffs = [p.coeffs for p in census]
+        # row n as the statement predicts it from the census rows below n
+        predicted = {
+            n: IntPoly(stated_step(terms, coeffs[:n])) for n in range(stated_from, census_hi + 1)
+        }
+        details = [
+            f"n={n}: recurrence gives {predicted[n]}, census gives {census[n]}"
+            if predicted[n] != census[n]
+            else f"expected mismatch at n={n} but the recurrence holds"
+            for n in probe_ns
+        ]
+        fails = [n for n in range(valid_from, census_hi + 1) if predicted[n] != census[n]]
+        details.append(
+            f"recurrence unexpectedly fails at n={fails[0]}"
+            if fails
+            else f"holds for n={valid_from}..{census_hi}"
+        )
+        ok = not fails and all(predicted[n] != census[n] for n in probe_ns)
         report.records.append(
             CheckRecord(
                 f"{family} coefficient recurrence {statement}",

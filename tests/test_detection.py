@@ -1,6 +1,7 @@
 """Fault injection: a verify line that compares two routes must fail when one
 of them is wrong, and only the lines that read the faulty route may fail."""
 
+import dataclasses
 from math import comb
 
 import pytest
@@ -50,41 +51,74 @@ def _cube_closed_form_one_too_many_1_cubes(n, k):
     return formulas.q_coeff(n, k) + (k == 1)
 
 
-def _cube_gf_with_one_numerator_coefficient_changed():
-    series = genfun.cube_gf()
-    numerator = list(series.numerator)
-    numerator[1] += IntPoly.one()
-    return genfun.RationalSeries(tuple(numerator), series.denominator, series.correction)
+def _series_with_one_coefficient_raised(family, part, i):
+    """A builder of ``family``'s series with 1 added to the y^i coefficient of
+    its ``part``; it builds from the entry it replaces, captured here."""
+    build = genfun.ALL_SERIES[family]
+
+    def faulty():
+        series = build()
+        rows = list(getattr(series, part))
+        rows[i] += IntPoly.one()
+        return dataclasses.replace(series, **{part: tuple(rows)})
+
+    return faulty
 
 
 @pytest.mark.parametrize(
-    "table, fault, failing",
+    "table, family, fault, failing",
     [
         (
             formulas.CLOSED_FORMS,
+            "cube",
             _cube_closed_form_one_too_many_1_cubes,
             {"cube: census vs closed form", "cube: closed form vs recurrence"},
         ),
         (
             genfun.ALL_SERIES,
-            _cube_gf_with_one_numerator_coefficient_changed,
+            "cube",
+            _series_with_one_coefficient_raised("cube", "numerator", 1),
             {"cube: recurrence vs generating function"},
         ),
+        (
+            genfun.ALL_SERIES,
+            "cube",
+            _series_with_one_coefficient_raised("cube", "denominator", 2),
+            {"cube: recurrence vs generating function"},
+        ),
+        (
+            genfun.ALL_SERIES,
+            "maxcube",
+            _series_with_one_coefficient_raised("maxcube", "correction", 1),
+            {"maxcube: recurrence vs generating function"},
+        ),
+        (
+            genfun.ALL_SERIES,
+            "rank-odd",
+            _series_with_one_coefficient_raised("rank-odd", "numerator", 1),
+            {"rank series interleaves even and odd series"},
+        ),
     ],
-    ids=["closed form", "generating function"],
+    ids=[
+        "closed form",
+        "generating function",
+        "generating function denominator",
+        "generating function correction",
+        "half-index generating function",
+    ],
 )
 def test_a_fault_swapped_in_after_a_warm_run_fails_the_lines_it_fails_from_cold(
-    fresh_memos, monkeypatch, table, fault, failing
+    fresh_memos, monkeypatch, table, family, fault, failing
 ):
     # the closed-form rows are evaluated anew on each run and the expansion
     # rows live on the series that expanded them, so no kept row can answer
     # for the swapped route
     with monkeypatch.context() as local:
-        local.setitem(table, "cube", fault)
+        local.setitem(table, family, fault)
         cold = _non_passing()
     _clear_memos()
     run_verification(12)
-    monkeypatch.setitem(table, "cube", fault)
+    monkeypatch.setitem(table, family, fault)
     warm = _non_passing()
     errata = {(CUBE_ERRATUM, "erratum"), (INDEGREE_ERRATUM, "erratum"), (DEGREE_ERRATUM, "erratum")}
     assert warm == cold == {(name, "fail") for name in failing} | errata

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import golden_tables
+from flcubes import formulas
 from flcubes.census import poset_census
 from flcubes.formulas import (
     CLOSED_FORMS,
@@ -332,6 +333,28 @@ def test_coeff_recurrence_refuses_the_seed_rows_it_keeps():
             with pytest.raises(ValueError, match=f"^{family} coefficient recurrence is "
                                f"validated for n >= {lo}, got {n}$"):
                 coeff_by_recurrence(family, n, 0)
+
+
+def _window_answers(order):
+    """Every polynomial row and coefficient row to n = 40, each family's rows
+    queried in ``order(lowest valid n)``."""
+    polys = [(("poly", f, n), recurrence_poly(f, n)) for f in RECURRENCES for n in order(0)]
+    coeffs = [
+        (("coeff", f, n), [coeff_by_recurrence(f, n, k) for k in range(2 * n + 2)])
+        for f, lo in VALIDATED_FROM.items()
+        for n in order(lo)
+    ]
+    return polys + coeffs
+
+
+def test_queries_below_the_kept_rows_equal_a_fresh_ascending_sweep():
+    formulas._KEPT.clear()
+    formulas._COEFF_ROWS.clear()
+    expected = dict(_window_answers(lambda lo: range(lo, 41)))
+    # the windows now end at n = 40, so each query below them restarts from
+    # the bases or the seeds; the last one repeats a query the window answers
+    for key, value in _window_answers(lambda lo: [*range(40, lo - 1, -1), lo]):
+        assert value == expected[key], key
 
 
 # -- the three range errata ----------------------------------------------------------

@@ -8,26 +8,10 @@ from hypothesis import strategies as st
 import golden_tables
 from flcubes import tables
 from flcubes.formulas import COEFF_RECURRENCES, RECURRENCES, fib, stated_terms
-from flcubes.genfun import (
-    ALL_SERIES,
-    RationalSeries,
-    cube_gf,
-    degree_gf,
-    indegree_gf,
-    maxcube_gf,
-    rank_even_gf,
-    rank_gf,
-    rank_odd_gf,
-)
+from flcubes.genfun import ALL_SERIES, RationalSeries
 from flcubes.polynomials import IntPoly
 
-GF_FOR = {
-    "rank": rank_gf,
-    "cube": cube_gf,
-    "maxcube": maxcube_gf,
-    "degree": degree_gf,
-    "indegree": indegree_gf,
-}
+GF_FOR = {f: ALL_SERIES[f] for f in ("rank", "cube", "maxcube", "degree", "indegree")}
 
 
 def test_fibonacci_shift():
@@ -52,18 +36,18 @@ def test_expansions_match_golden_tables(family):
 
 
 def test_expansion_spot_values():
-    assert cube_gf().expand(5)[3] == IntPoly([4, 3])
-    assert rank_gf().expand(10)[9] == IntPoly(golden_tables.RANK[9])
-    assert maxcube_gf().expand(8)[1] == IntPoly([0, 1])
-    assert maxcube_gf().expand(8)[4] == IntPoly([0, 2, 1])
-    assert degree_gf().expand(6)[5] == IntPoly([0, 0, 5, 4, 1])
-    assert indegree_gf().expand(5)[2] == IntPoly([1, 2])
-    assert indegree_gf().expand(5)[4] == IntPoly([1, 4, 1])
+    assert ALL_SERIES["cube"]().expand(5)[3] == IntPoly([4, 3])
+    assert ALL_SERIES["rank"]().expand(10)[9] == IntPoly(golden_tables.RANK[9])
+    assert ALL_SERIES["maxcube"]().expand(8)[1] == IntPoly([0, 1])
+    assert ALL_SERIES["maxcube"]().expand(8)[4] == IntPoly([0, 2, 1])
+    assert ALL_SERIES["degree"]().expand(6)[5] == IntPoly([0, 0, 5, 4, 1])
+    assert ALL_SERIES["indegree"]().expand(5)[2] == IntPoly([1, 2])
+    assert ALL_SERIES["indegree"]().expand(5)[4] == IntPoly([1, 4, 1])
 
 
 def test_even_and_odd_series():
-    evens = rank_even_gf().expand(4)
-    odds = rank_odd_gf().expand(4)
+    evens = ALL_SERIES["rank-even"]().expand(4)
+    odds = ALL_SERIES["rank-odd"]().expand(4)
     assert evens[0] == IntPoly([1])
     assert evens[2] == IntPoly(golden_tables.RANK[4])
     assert odds[0] == IntPoly([1, 1])
@@ -71,16 +55,16 @@ def test_even_and_odd_series():
 
 
 def test_interleaving_identity():
-    ranks = rank_gf().expand(42)
-    evens = rank_even_gf().expand(21)
-    odds = rank_odd_gf().expand(21)
+    ranks = ALL_SERIES["rank"]().expand(42)
+    evens = ALL_SERIES["rank-even"]().expand(21)
+    odds = ALL_SERIES["rank-odd"]().expand(21)
     for m in range(21):
         assert ranks[2 * m] == evens[m]
         assert ranks[2 * m + 1] == odds[m]
 
 
 def test_rank_series_at_one_counts_vertices():
-    polys = rank_gf().expand(41)
+    polys = ALL_SERIES["rank"]().expand(41)
     assert [p(1) for p in polys[:3]] == [1, 2, 3]
     for n in range(3, 41):
         assert polys[n](1) == 2 * fib(n)
@@ -154,7 +138,7 @@ def test_denominator_is_characteristic_polynomial_of_the_polynomial_step(family)
 
 
 def test_rank_denominator_is_the_half_index_step_in_y_squared():
-    denominator = rank_gf().denominator
+    denominator = ALL_SERIES["rank"]().denominator
     for family in ("rank-even", "rank-odd"):
         assert denominator[0::2] == _characteristic(_step_of_statement(family)), family
     assert not any(denominator[1::2])
@@ -183,7 +167,7 @@ def test_random_series_expand_exactly(corr, num, den_tail):
 
 
 def test_callers_get_their_own_rows():
-    series = maxcube_gf()  # expand adds its correction into the list it returns
+    series = ALL_SERIES["maxcube"]()  # expand adds its correction into the list it returns
     fraction = series.fraction_coeffs(12)
     expanded = series.expand(12)
     assert series.fraction_coeffs(12) == fraction != expanded

@@ -1,6 +1,6 @@
 import pytest
 
-from flcubes import tables, verify
+from flcubes import census, tables, verify
 from flcubes.lattice import filter_lattice
 from flcubes.poset import sfence
 from flcubes.verify import CheckRecord, VerificationReport, run_verification
@@ -101,3 +101,20 @@ def test_structural_checks_pass_past_the_reported_range():
     assert all(r.status == "pass" for r in report.records), [
         r.render() for r in report.records if r.status != "pass"
     ]
+
+
+def test_ranges_raised_past_the_lists_the_run_builds_stop_at_their_ends(monkeypatch):
+    n = tables.CENSUS_MAX_N + 1  # past the S-fences and past the diagrams
+    for constant in ("STRUCTURAL_MAX_N", "GENERIC_CUBE_MAX_N", "CONEXP_MAX_N"):
+        monkeypatch.setattr(verify, constant, n)
+    # the subgraph oracle's own vertex bound would refuse S-fence 8 first
+    monkeypatch.setattr(census, "GENERIC_GRAPH_BOUND", 1000)
+    report = run_verification(n)
+    assert report.failures == 0
+    split_ns = {int(r.scope[2:]) for r in report.records if "split:" in r.name}
+    assert max(split_ns) == verify.QD_CENSUS_MAX_N
+    scopes = {r.name: r.scope for r in report.records}
+    assert scopes["subgraph search agrees with interval cube census"] == (
+        f"n<={verify.QD_CENSUS_MAX_N}, k<={census.GENERIC_DIM_BOUND}"
+    )
+    assert scopes["filter counts split under element deletion"] == f"n<={tables.CENSUS_MAX_N}"
