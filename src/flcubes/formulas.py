@@ -3,6 +3,13 @@ filter lattices: Fibonacci and Padovan numbers, trinomial coefficients, the
 polynomial recurrences, and the coefficient recurrences, a separate route
 that steps plain coefficient lists by each recurrence's statement as data.
 
+The rank closed form is written through one alternating trinomial sum,
+P_a = sum_i (-1)^i C(a - i, i) x^(2i) (1 + x + x^2)^(a - 2i), the y^a
+coefficient of 1 / (1 - (1 + x + x^2) y + x^2 y^2), the denominator the two
+half-index rank series share.  Each rank polynomial is its series' numerator
+times P: rank(2m + 1) = (1 + x)(P_m - x P_(m-1)) and rank(2m) =
+P_m - P_(m-1) + P_(m-2), plus 1 at (m, k) = (1, 0).
+
 Every binomial goes through :func:`binom`, which is zero whenever
 0 <= k <= n fails; several of the closed forms lean on that convention to
 kill out-of-range terms.
@@ -65,39 +72,30 @@ def trinomial(n: int, k: int) -> int:
 # -- closed forms ---------------------------------------------------------------
 
 
-def r_coeff(n: int, k: int) -> int:
-    """Closed form for the rank coefficients, contract n >= 2.
+def _alternating_trinomial_sum(a: int, k: int) -> int:
+    """The x^k coefficient of P_a (see the module docstring).
 
-    Even index 2m carries a Kronecker correction at (m, k) = (1, 0); sums
-    with a negative upper limit are empty.
+    As the y^a coefficient of 1 / (1 - (1 + x + x^2) y + x^2 y^2), P_0 = 1,
+    P_1 = 1 + x + x^2 and P_a = (1 + x + x^2) P_(a-1) - x^2 P_(a-2).  The sum
+    is empty for a < 0 or k < 0; it stops at the last i where C(a - i, i) and
+    the trinomial can both be nonzero (i <= a/2, 2i <= k, k - 2i <= 2(a - 2i)).
     """
+    total = 0
+    for i in range(min(a // 2, k // 2, (2 * a - k) // 2) + 1):
+        total += (-1) ** i * binom(a - i, i) * trinomial(a - 2 * i, k - 2 * i)
+    return total
+
+
+def r_coeff(n: int, k: int) -> int:
+    """Closed form for the rank coefficients, contract n >= 2, by the
+    factorizations through P_a in the module docstring."""
     if n < 2:
         raise ValueError("closed rank form is contracted for n >= 2")
-    if k < 0:
-        return 0
     m, odd = divmod(n, 2)
-    # trinomial(a, b) vanishes unless 0 <= b <= 2a, so each sum stops at
-    # the last i whose trinomial arguments can be in range.
+    p = _alternating_trinomial_sum
     if odd:
-        total = 0
-        for i in range(min(m // 2, k // 2, (2 * m - k + 1) // 2) + 1):
-            total += (-1) ** i * binom(m - i, i) * (
-                trinomial(m - 2 * i, k - 2 * i) + trinomial(m - 2 * i, k - 2 * i - 1)
-            )
-        for i in range(min((m - 1) // 2, (k - 1) // 2, (2 * m - k) // 2) + 1):
-            total -= (-1) ** i * binom(m - i - 1, i) * (
-                trinomial(m - 2 * i - 1, k - 2 * i - 1)
-                + trinomial(m - 2 * i - 1, k - 2 * i - 2)
-            )
-        return total
-    total = 1 if (m == 1 and k == 0) else 0
-    for i in range(min(m // 2, k // 2, (2 * m - k) // 2) + 1):
-        total += (-1) ** i * binom(m - i, i) * trinomial(m - 2 * i, k - 2 * i)
-    for i in range(min((m - 1) // 2, k // 2, (2 * m - k - 2) // 2) + 1):
-        total -= (-1) ** i * binom(m - i - 1, i) * trinomial(m - 2 * i - 1, k - 2 * i)
-    for i in range(min((m - 2) // 2, k // 2, (2 * m - k - 4) // 2) + 1):
-        total += (-1) ** i * binom(m - i - 2, i) * trinomial(m - 2 * i - 2, k - 2 * i)
-    return total
+        return p(m, k) + p(m, k - 1) - p(m - 1, k - 1) - p(m - 1, k - 2)
+    return (m == 1 and k == 0) + p(m, k) - p(m - 1, k) + p(m - 2, k)
 
 
 def q_coeff(n: int, k: int) -> int:
@@ -106,14 +104,14 @@ def q_coeff(n: int, k: int) -> int:
         raise ValueError("n must be non-negative")
     if k < 0:
         return 0
-    # binom(j, k) vanishes for j < k, so each sum starts at j = k at least.
+    # binom(j, k) vanishes for j < k, so the sum starts at j = k; binom's zero
+    # convention drops the subtracted terms for j < 2, and the last one at
+    # j = (n + 1) / 2 for odd n
     total = 0
     for j in range(k, (n + 1) // 2 + 1):
-        total += binom(n - j + 1, j) * binom(j, k)
-    for j in range(max(k, 2), (n + 1) // 2 + 1):
-        total -= binom(n - j - 1, j - 2) * binom(j, k)
-    for j in range(max(k, 2), n // 2 + 1):
-        total -= binom(n - j - 2, j - 2) * binom(j, k)
+        total += binom(j, k) * (
+            binom(n - j + 1, j) - binom(n - j - 1, j - 2) - binom(n - j - 2, j - 2)
+        )
     return total
 
 

@@ -269,9 +269,7 @@ def _interleaving(report: VerificationReport, formula_hi: int) -> None:
     evens = tables.gf_polys("rank-even", hi_m + 1)
     odds = tables.gf_polys("rank-odd", hi_m + 1)
     ranks = tables.gf_polys("rank", 2 * hi_m + 2)
-    ok = all(ranks[2 * m] == evens[m] for m in range(hi_m + 1)) and all(
-        ranks[2 * m + 1] == odds[m] for m in range(hi_m + 1)
-    )
+    ok = ranks[0::2] == evens and ranks[1::2] == odds
     report.check(
         "rank series interleaves even and odd series", f"m=0..{hi_m}", ok,
         "even or odd slice mismatch",

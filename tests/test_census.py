@@ -802,3 +802,48 @@ def test_verify_takes_the_identity_cube_side_from_the_diagram_scan(monkeypatch):
     )
     assert record.status == "fail"
     assert record.detail.startswith("n=0:")
+
+
+# -- median-graph identities ----------------------------------------------------
+# A filter lattice diagram is a median graph whose Theta-classes are the
+# elements of P, the class of p in bijection with the filters of
+# P.star_remove(p).  Its cube polynomial then satisfies cube(-1) = 1 and
+# cube'(-1) = |P| (Skrekovski, Discrete Math. 226, 2001) and
+# cube' = sum over p of the cube polynomial of P.star_remove(p)
+# (Bresar, Klavzar and Skrekovski, Electron. J. Combin. 10, 2003, R3).
+# The native census derives cube from indegree, so on its side the first two
+# read in_0 = 1 and in_1 = |P|, and the derivative is the real test.
+
+CUBE_ROUTES = {
+    "native": lambda p: poset_census(p)["cube"],
+    "scan": lambda p: cube_polynomial(filter_lattice(p)),
+}
+
+
+def assert_median_graph_identities(cube, p):
+    poly = cube(p)
+    slope = IntPoly([k * c for k, c in enumerate(poly.coeffs)][1:])
+    assert poly(-1) == 1, p
+    assert slope(-1) == len(p), p
+    assert slope == sum((cube(p.star_remove(x)) for x in p.elements), IntPoly.zero()), p
+
+
+@pytest.mark.parametrize("route", sorted(CUBE_ROUTES))
+def test_median_graph_identities_on_every_small_poset(route):
+    for n in range(6):
+        for poset in naturally_labelled_posets(n):
+            assert_median_graph_identities(CUBE_ROUTES[route], poset)
+
+
+@pytest.mark.parametrize("route", sorted(CUBE_ROUTES))
+@given(p=posets())
+@settings(max_examples=40, deadline=None)
+def test_median_graph_identities_on_random_posets(route, p):
+    assert_median_graph_identities(CUBE_ROUTES[route], p)
+
+
+@pytest.mark.parametrize("route, hi", [("native", 20), ("scan", 12)])
+@pytest.mark.parametrize("build", [sfence, fence], ids=["sfence", "fence"])
+def test_median_graph_identities_on_fences(route, hi, build):
+    for n in range(hi + 1):
+        assert_median_graph_identities(CUBE_ROUTES[route], build(n))

@@ -269,6 +269,21 @@ def test_closed_forms_equal_their_full_range_sums(family):
             assert coeff(n, k) == full(n, k), (family, n, k)
 
 
+def test_alternating_trinomial_rows_step_by_the_half_index_rank_denominator():
+    # the rank closed form's P_a is the y^a coefficient of 1 / denominator,
+    # so its rows step by the denominator's negated y^1 and y^2 terms
+    one, c1, c2 = ALL_SERIES["rank-even"]().denominator
+    assert (one, -c1, -c2) == (IntPoly.one(), IntPoly([1, 1, 1]), IntPoly([0, 0, -1]))
+    assert ALL_SERIES["rank-odd"]().denominator == (one, c1, c2)
+    p = formulas._alternating_trinomial_sum
+    rows = [IntPoly([p(a, k) for k in range(2 * a + 1)]) for a in range(81)]
+    assert rows[0] == IntPoly.one() and rows[1] == IntPoly([1, 1, 1])
+    for a in range(2, 81):
+        assert rows[a] == -c1 * rows[a - 1] - c2 * rows[a - 2], a
+    for a in range(-2, 81):
+        assert [p(a, k) for k in (-2, -1, 2 * a + 1, 2 * a + 2)] == [0, 0, 0, 0], a
+
+
 def test_every_route_table_names_the_same_formula_families():
     # each route owns its family table, so a family added to one route and
     # missed by another shows up here rather than at its first call
