@@ -34,10 +34,11 @@ these results can arbitrate them.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import Counter
-from itertools import chain, repeat
+from itertools import chain
 from math import comb
-from operator import and_, rshift
 from typing import Iterable
 from weakref import WeakKeyDictionary
 
@@ -264,11 +265,14 @@ def poset_census(poset: Poset) -> dict[str, IntPoly]:
     The census is bit-sliced: the filters are numbered 0..V-1 in the order
     ``filter_masks`` lists them, and every quantity is a V-bit set of
     filters, so each step below is a few big-int operations for all V
-    filters at once.  F[e] (``held[e]``) holds the filters that hold e; it is
-    transposed from the masks eight elements at a time, as one byte per
-    filter, each element's bit of the bytes spelled out as base-2 digits
-    (a power-of-two base, so no int-string digit limit applies).  Because
-    filters are up-sets, covers decide the rest exactly:
+    filters at once.  F[e] (``held[e]``) holds the filters that hold e.  It
+    is transposed in C: the masks go into one array of 4-byte words, stored
+    little-endian, so byte column g, one byte per filter for elements
+    8g..8g+7, is a strided slice of the array's bytes, byte g of every
+    word, and each element's bit of those bytes is spelled out as base-2
+    digits (a power-of-two base, so no int-string digit limit applies).  No
+    Python object is made per filter.  Because filters are up-sets, covers
+    decide the rest exactly:
 
     - e is minimal in f iff e is in f and no lower cover c of e is: an
       element of f strictly below e would lie above some lower cover of e,
@@ -292,12 +296,14 @@ def poset_census(poset: Poset) -> dict[str, IntPoly]:
     the maximal cubes are the indegree histogram of the filters outside
     NotMax, and the cubes follow from the indegree histogram by C(m, k).
     """
-    masks = poset.filter_masks()
-    n = len(poset)
-    every = (1 << len(masks)) - 1
+    words = array("I", poset.filter_masks())  # FILTER_ENUM_BOUND = 32 bits fit
+    if sys.byteorder == "big":
+        words.byteswap()  # so byte g of each word holds elements 8g..8g+7
+    n, raw = len(poset), words.tobytes()
+    every = (1 << len(words)) - 1
     held: list[int] = []
     for lo in range(0, n, 8):
-        column = bytes(map(and_, map(rshift, masks, repeat(lo)), repeat(255)))
+        column = raw[lo // 8::words.itemsize]
         held += (int(column.translate(_DIGITS[b])[::-1], 2) for b in range(min(8, n - lo)))
     below_held, covers_held = [0] * n, [every] * n
     for a, b in poset._cover_pos:  # a covers b

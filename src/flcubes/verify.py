@@ -50,17 +50,17 @@ from .polynomials import IntPoly
 from .poset import fence, sfence
 
 # Each range is set by its cost, timed in-process (2-vCPU Xeon, Python
-# 3.11.7) against 84 ms for a whole run to n = 18.  All seven series
-# multiplied back to y^40: 9 ms (25 ms to y^80).
+# 3.11.7; medians of five alternating rounds) against 73 ms for a whole run
+# to n = 18.  All seven series multiplied back to y^40: 5 ms (14 ms to y^80).
 GF_EXACTNESS_DEPTH = 40
-# Both splits to n = 9: 15 ms (52 ms to 12, 134 ms to 14).
+# Both splits to n = 9: 12 ms (36 ms to 12, 114 ms to 14).
 STRUCTURAL_MAX_N = 9
-# The filter-count split to n = 12: 16 ms (30 ms to 14, 156 ms to 18).
+# The filter-count split to n = 12: 13 ms (22 ms to 14, 98 ms to 18).
 CONEXP_MAX_N = 12
-# The subgraph oracle to n = 6: 1.5 ms; from n = 8 on the S-fence diagrams
+# The subgraph oracle to n = 6: 1 ms; from n = 8 on the S-fence diagrams
 # have more vertices than census.GENERIC_GRAPH_BOUND.
 GENERIC_CUBE_MAX_N = 6
-# The filter lattices to n = 14, which the diagram checks read: 8 ms (64 ms
+# The filter lattices to n = 14, which the diagram checks read: 8 ms (65 ms
 # to 18).
 QD_CENSUS_MAX_N = 14
 

@@ -760,6 +760,39 @@ def test_native_census_matches_the_references_on_dense_posets_past_one_byte(p):
         assert_native_matches_diagram(p)
 
 
+# ways to hand the census the filter masks in another order than the enumeration's
+REORDERINGS = {
+    "reversed": lambda masks: masks[::-1],
+    "shuffled": lambda masks: random.Random(0).sample(masks, len(masks)),
+}
+
+
+def reordered(reorder):
+    """``Poset.filter_masks`` with its list put through ``reorder``."""
+    enumerate_masks = Poset.filter_masks
+    return lambda poset: reorder(enumerate_masks(poset))
+
+
+@pytest.mark.parametrize("reorder", REORDERINGS.values(), ids=REORDERINGS)
+def test_native_census_does_not_depend_on_the_mask_order_on_sfences(monkeypatch, reorder):
+    expected = [poset_census(sfence(n)) for n in range(19)]
+    monkeypatch.setattr(Poset, "filter_masks", reordered(reorder))
+    assert [poset_census(sfence(n)) for n in range(19)] == expected
+
+
+@given(dense_posets())
+@settings(max_examples=20, deadline=None)
+def test_native_census_does_not_depend_on_the_mask_order_on_dense_posets(p):
+    try:
+        expected = poset_census(p)
+    except CapacityError:  # more than FILTER_COUNT_BOUND filters
+        assume(False)
+    for reorder in REORDERINGS.values():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Poset, "filter_masks", reordered(reorder))
+            assert poset_census(p) == expected
+
+
 def power(poly, k):
     out = IntPoly([1])
     for _ in range(k):

@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from conftest import mask_of, members, posets
+from conftest import mask_of, members, naturally_labelled_posets, posets
 from flcubes import poset as poset_module
 from flcubes.census import poset_census
 from flcubes.errors import CapacityError
@@ -46,6 +46,33 @@ def test_constructor_rejects_cycles_and_redundancy():
         Poset((1, 2), frozenset({(1, 3)}))
     with pytest.raises(ValueError):
         Poset((1, 1, 2), frozenset())
+
+
+def test_a_cycle_below_a_maximal_element_is_refused():
+    # 1 is maximal and covers 2, which lies on the cycle 2 > 3 > 4 > 2
+    with pytest.raises(ValueError, match="cover relation contains a cycle"):
+        Poset((1, 2, 3, 4), frozenset({(1, 2), (2, 3), (3, 4), (4, 2)}))
+
+
+def assert_top_down(p):
+    """``_top_down`` lists every position once, each after all positions above it."""
+    assert sorted(p._top_down) == list(range(len(p)))
+    decided = 0
+    for e in p._top_down:
+        assert p._strict_up[e] & ~decided == 0, (p, e)
+        decided |= 1 << e
+
+
+@given(posets())
+def test_enumeration_order_is_a_top_down_linear_extension(p):
+    assert_top_down(p)
+
+
+def test_enumeration_order_is_a_top_down_linear_extension_on_every_small_poset():
+    for n in range(7):
+        for p in naturally_labelled_posets(n):
+            assert_top_down(p)
+            assert_top_down(p.dual())
 
 
 def test_order_queries():
@@ -222,14 +249,16 @@ def test_count_filters_refuses_a_long_chain_without_recursing():
         chain(1500).count_filters()
 
 
-@given(posets())
+@given(posets(max_size=12))
 @settings(max_examples=60)
 def test_enumeration_agrees_with_brute_force(p):
+    # to 12 elements, where depth-first and layer-by-layer orders differ
     fs = {members(p.elements, f) for f in p.filters()}
+    up = {x: p.up_set(x) for x in p.elements}
     brute = set()
     for r in range(len(p) + 1):
         for combo in combinations(p.elements, r):
-            if is_upward_closed(p, set(combo)):
+            if all(up[x] <= set(combo) for x in combo):
                 brute.add(frozenset(combo))
     assert fs == brute
     assert len(fs) == p.count_filters()
