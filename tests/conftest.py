@@ -58,6 +58,18 @@ M3_ON_A_SQUARE = lattice_from_covers(
 )
 
 
+# five atoms s1..s5 (vertices 1..5) over the bottom 0: s1..s4 pairwise join
+# to their own rank-2 vertices 6..11, s5 lies alone under 12, and all lie
+# under the top 13, so s5 joins each other atom two ranks up, at the top
+FAR_FIFTH_ATOM = lattice_from_covers(
+    (0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 3),
+    [(s, 0) for s in range(1, 6)]
+    + [(p, s) for p, pair in enumerate([(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)], 6)
+       for s in pair]
+    + [(12, 5)] + [(13, r) for r in range(6, 13)],
+)
+
+
 def members(elements, mask: int) -> frozenset[int]:
     """The elements a filter bitmask holds, bit i standing for elements[i]."""
     return frozenset(e for i, e in enumerate(elements) if mask >> i & 1)

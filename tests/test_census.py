@@ -5,15 +5,17 @@ import weakref
 from collections import Counter
 from itertools import combinations
 from math import comb
+from weakref import WeakKeyDictionary
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import golden_tables
 from conftest import (
     BOWTIE,
     FAKE_CUBE,
+    FAR_FIFTH_ATOM,
     M3,
     M3_ON_A_SQUARE,
     SPARE_VERTEX,
@@ -280,13 +282,41 @@ def assert_scan_matches_reference(d):
     assert maximal_cube_polynomial(d) == histogram(reference_maxcubes(d, cubes))
 
 
+def assert_scan_matches_or_refuses_like_reference(d):
+    try:
+        reference_scan(d)
+    except ValueError as want:
+        with pytest.raises(ValueError) as got:
+            census._scan(d)
+        assert str(got.value) == str(want)
+        return
+    assert_scan_matches_reference(d)
+
+
+# The cover index from which _scan reads a cover's join table: from the
+# second cover on, where table reads and their fallback run on the smallest
+# lattices; the default; and past every cover count, where every join is a
+# mask AND.  Each setting scans with a fresh memo.
+TABLE_COVERS = {
+    "tables-from-cover-1": 1,
+    "tables-by-default": census._TABLE_COVER,
+    "no-tables": census.CENSUS_VERTEX_BOUND,
+}
+
+
+@pytest.fixture(params=TABLE_COVERS.values(), ids=TABLE_COVERS)
+def table_cover(request, monkeypatch):
+    monkeypatch.setattr(census, "_TABLE_COVER", request.param)
+    monkeypatch.setattr(census, "_TABLES", WeakKeyDictionary())
+
+
 @pytest.mark.parametrize("build", [fence, lambda n: fence(n).dual()], ids=["fence", "dual-fence"])
-def test_scan_matches_reference_on_fences(build):
+def test_scan_matches_reference_on_fences(build, table_cover):
     for n in range(11):
         assert_scan_matches_reference(filter_lattice(build(n)))
 
 
-def test_scan_matches_reference_on_an_expansion_and_m3():
+def test_scan_matches_reference_on_an_expansion_and_m3(table_cover):
     assert_scan_matches_reference(convex_expansion(*deletion_cutting(sfence(7), 7)))
     assert_scan_matches_reference(M3)
 
@@ -298,16 +328,28 @@ def test_scan_matches_reference_on_random_posets(p):
 
 
 @given(graded_diagrams())
-@settings(max_examples=300, deadline=None)
-def test_scan_matches_reference_on_random_graded_diagrams(d):
-    try:
-        reference_scan(d)
-    except ValueError as want:
-        with pytest.raises(ValueError) as got:
-            census._scan(d)
-        assert str(got.value) == str(want)
-        return
-    assert_scan_matches_reference(d)
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_scan_matches_reference_on_random_graded_diagrams(table_cover, d):
+    assert_scan_matches_or_refuses_like_reference(d)
+
+
+@given(graded_diagrams(max_width=6))
+@settings(max_examples=200, deadline=None)
+def test_scan_matches_reference_on_wide_random_graded_diagrams(d):
+    # up to six covers per bottom, so at the default cover index random
+    # non-lattices and non-semimodular lattices reach the table reads
+    assert_scan_matches_or_refuses_like_reference(d)
+
+
+def test_scan_falls_back_where_a_join_of_covers_skips_a_rank():
+    # the fifth atom s5 joins each other atom at the top, which does not
+    # cover s5, so the bottom joins s5 by mask ANDs, not from s5's table
+    bottom, s5 = 0, 5
+    assert len(FAR_FIFTH_ATOM.up_adj[bottom]) == 5 and FAR_FIFTH_ATOM.up_adj[bottom][4] == s5
+    assert FAR_FIFTH_ATOM.top not in FAR_FIFTH_ATOM.up_adj[s5]
+    assert_scan_matches_reference(FAR_FIFTH_ATOM)
+    assert cube_polynomial(FAR_FIFTH_ATOM) == IntPoly([14, 25, 6])
 
 
 def random_poset_with_many_filters():
@@ -348,8 +390,9 @@ def test_per_bottom_counts_match_per_cube_counts_and_the_native_census_on_large_
     assert maximal_cube_polynomial(d) == histogram(reference_maxcubes(d, cubes)) == native["maxcube"]
 
 
-@pytest.mark.parametrize("lattice", [TWO_SUBSETS, FAKE_CUBE, SPARE_VERTEX], ids=NOT_BOOLEAN_IDS)
-def test_scan_counts_what_the_reference_counts(lattice):
+@pytest.mark.parametrize("lattice", [TWO_SUBSETS, FAKE_CUBE, SPARE_VERTEX, M3_ON_A_SQUARE],
+                         ids=NOT_BOOLEAN_IDS + ["m3-on-a-square"])
+def test_scan_counts_what_the_reference_counts(lattice, table_cover):
     # the scan and the reference keep the same intervals of these lattices,
     # and neither refuses them
     assert_scan_matches_reference(lattice)
@@ -372,7 +415,7 @@ def test_a_failed_bottom_reads_the_one_top_of_a_passed_bottom_below_it(lattice, 
 
 
 @pytest.mark.parametrize("lattice", [BOWTIE, STACKED_BOWTIE], ids=["bowtie", "stacked-bowtie"])
-def test_scan_refuses_what_the_reference_refuses(lattice):
+def test_scan_refuses_what_the_reference_refuses(lattice, table_cover):
     with pytest.raises(ValueError) as want:
         reference_scan(lattice)
     with pytest.raises(ValueError) as got:
@@ -386,6 +429,19 @@ def test_scan_vertex_bound():
     chain = lattice_from_covers(range(n), [(i + 1, i) for i in range(n - 1)])
     with pytest.raises(CapacityError, match="at most 20000 vertices"):
         cube_polynomial(chain)
+
+
+def test_scan_reads_tables_through_every_rank_of_the_12_antichain():
+    # 2^12 = 4 096 filters and 3^12 = 531 441 joins, under the join bound;
+    # a filter of rank r has 12 - r covers, so the bottoms of ranks 0..7
+    # read their blocks from tables that were themselves read from tables
+    lattice = filter_lattice(Poset(tuple(range(1, 13)), frozenset()))
+    assert len(lattice) == 4096
+    assert sum(1 << len(ups) for ups in lattice.up_adj) == 3 ** 12 < census.CENSUS_JOIN_BOUND
+    # the join of a filter's covers is the empty filter, the top
+    assert census._scan(lattice) == [lattice.top] * len(lattice)
+    assert cube_polynomial(lattice) == IntPoly([comb(12, k) * 2 ** (12 - k) for k in range(13)])
+    assert maximal_cube_polynomial(lattice) == IntPoly([0] * 12 + [1])
 
 
 def test_scan_join_bound():
