@@ -5,7 +5,6 @@ import weakref
 from collections import Counter
 from itertools import combinations
 from math import comb
-from weakref import WeakKeyDictionary
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -307,7 +306,7 @@ TABLE_COVERS = {
 @pytest.fixture(params=TABLE_COVERS.values(), ids=TABLE_COVERS)
 def table_cover(request, monkeypatch):
     monkeypatch.setattr(census, "_TABLE_COVER", request.param)
-    monkeypatch.setattr(census, "_TABLES", WeakKeyDictionary())
+    monkeypatch.setattr(census, "_TABLES", weakref.WeakKeyDictionary())
 
 
 @pytest.mark.parametrize("build", [fence, lambda n: fence(n).dual()], ids=["fence", "dual-fence"])
