@@ -23,9 +23,10 @@ Neither census needs a join of its own; a table test against a passed
 bottom's one top is one AND of the diagram's order masks.  The scan visits
 the bottoms top rank first, so from a bottom's fifth cover on it reads the
 joins with that cover from the cover's own join table, after one join per
-earlier cover, instead of joining every subset again.  The scan refuses
-diagrams whose masks (about 2·V² bits) or join tables (one entry per subset
-of each vertex's covers) exceed its bounds.  The poset-native census counts
+earlier cover, instead of joining every subset again (where those pair
+joins cover it).  The scan refuses diagrams whose masks (about 2·V² bits)
+or join tables (one entry per subset of each vertex's covers) exceed its
+bounds.  The poset-native census counts
 the same six families from the filters' minimal and addable elements without
 building the diagram.  It is bit-sliced: from one set of filters per
 element, a big int with one bit per filter, a few ANDs and ORs per cover
@@ -102,7 +103,7 @@ def _scan(diagram: LatticeDiagram) -> list[int | dict[int, int]]:
     least upper bound exactly when the intersection equals that element's
     own up-set, which is checked at every join.
 
-    Most joins are not made but read.  The bottoms are visited top rank
+    Many joins are read, not made.  The bottoms are visited top rank
     first, and a's join table grows one cover u_k at a time by the block
     j_(T u {u_k}), T a subset of u_0, ..., u_(k-1).  Its first entry,
     a v u_k = u_k, needs no join.  Below cover index ``_TABLE_COVER`` the
