@@ -13,12 +13,23 @@ P_m - P_(m-1) + P_(m-2), plus 1 at (m, k) = (1, 0).
 Every binomial goes through :func:`binom`, which is zero whenever
 0 <= k <= n fails; several of the closed forms lean on that convention to
 kill out-of-range terms.
+
+The rank and cube forms keep their k-free inner sums between calls: the
+coefficient rows of P_a for the last three a read, and the cube form's
+terms T_j of the last n read (see :func:`q_coeff`).  Both memos are
+bounded to what an ascending sweep reads, so their memory does not grow
+with n, and a query in any other order is answered the same, only
+recomputed.  Every kept entry is still computed through :func:`binom` and
+:func:`trinomial` alone, so the closed forms read nothing of the
+recurrence and series routes they are checked against.  The degree form
+keeps nothing: each of its binomials reads k, so no part of it is shared
+between coefficients.
 """
 
 from __future__ import annotations
 
 import re
-from functools import cache
+from functools import cache, lru_cache
 from math import comb
 from operator import add, sub
 from typing import NamedTuple
@@ -86,33 +97,61 @@ def _alternating_trinomial_sum(a: int, k: int) -> int:
     return total
 
 
+@lru_cache(maxsize=3)
+def _alternating_trinomial_row(a: int) -> tuple[int, ...]:
+    """The coefficients of P_a, x^0 .. x^(2a); empty for a < 0."""
+    return tuple(_alternating_trinomial_sum(a, k) for k in range(2 * a + 1))
+
+
+def _at(row: tuple[int, ...], k: int) -> int:
+    """Entry k of a row, zero outside it."""
+    return row[k] if 0 <= k < len(row) else 0
+
+
 def r_coeff(n: int, k: int) -> int:
     """Closed form for the rank coefficients, contract n >= 2, by the
-    factorizations through P_a in the module docstring."""
+    factorizations through P_a in the module docstring.
+
+    The coefficient rows of P_a are kept for the last three a read: an even
+    rank reads P_m, P_(m-1) and P_(m-2), an odd one P_m and P_(m-1), so an
+    ascending sweep computes each row once, and row a serves the ranks
+    2a .. 2a + 4.  Any other order gets the same values, recomputing rows.
+    """
     if n < 2:
         raise ValueError("closed rank form is contracted for n >= 2")
     m, odd = divmod(n, 2)
-    p = _alternating_trinomial_sum
+    row = _alternating_trinomial_row
     if odd:
-        return p(m, k) + p(m, k - 1) - p(m - 1, k - 1) - p(m - 1, k - 2)
-    return (m == 1 and k == 0) + p(m, k) - p(m - 1, k) + p(m - 2, k)
+        p, q = row(m), row(m - 1)
+        return _at(p, k) + _at(p, k - 1) - _at(q, k - 1) - _at(q, k - 2)
+    return (m == 1 and k == 0) + _at(row(m), k) - _at(row(m - 1), k) + _at(row(m - 2), k)
+
+
+@lru_cache(maxsize=1)
+def _cube_terms(n: int) -> tuple[int, ...]:
+    """T_j = C(n - j + 1, j) - C(n - j - 1, j - 2) - C(n - j - 2, j - 2) for
+    j = 0 .. (n + 1) / 2; binom's zero convention drops both subtracted
+    terms for j < 2, and C(n - j - 2, j - 2) at j = (n + 1) / 2 for odd n."""
+    return tuple(
+        binom(n - j + 1, j) - binom(n - j - 1, j - 2) - binom(n - j - 2, j - 2)
+        for j in range((n + 1) // 2 + 1)
+    )
 
 
 def q_coeff(n: int, k: int) -> int:
-    """Closed form for the number of k-cubes, valid from n = 0."""
+    """Closed form for the number of k-cubes, valid from n = 0.
+
+    It is the sum over j of C(j, k) T_j, which starts at j = k since C(j, k)
+    vanishes below it.  The k-free terms T_j of n are kept for the last n
+    read: every coefficient of one n reads the same terms, and an ascending
+    sweep computes them once per n.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
     if k < 0:
         return 0
-    # binom(j, k) vanishes for j < k, so the sum starts at j = k; binom's zero
-    # convention drops the subtracted terms for j < 2, and the last one at
-    # j = (n + 1) / 2 for odd n
-    total = 0
-    for j in range(k, (n + 1) // 2 + 1):
-        total += binom(j, k) * (
-            binom(n - j + 1, j) - binom(n - j - 1, j - 2) - binom(n - j - 2, j - 2)
-        )
-    return total
+    terms = _cube_terms(n)
+    return sum(binom(j, k) * terms[j] for j in range(k, len(terms)))
 
 
 def h_coeff(n: int, k: int) -> int:

@@ -333,7 +333,8 @@ def poset_from_text(text: str) -> Poset:
     covers = []
     for ln in lines[1:]:
         parts = ln.split()
-        if len(parts) != 2:
+        # int() alone would also take signs, underscores and non-ASCII digits
+        if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
             raise ValueError(f"malformed cover line {ln!r}")
         a, b = int(parts[0]), int(parts[1])
         if not (1 <= a <= n and 1 <= b <= n):

@@ -116,6 +116,18 @@ def test_table_poset_file(runner, tmp_path):
     assert run(runner, "table", "rank", "0", "0", "census", "csv", "--poset-file", str(trash)).exit_code == 2
 
 
+@pytest.mark.parametrize("text, line", [("3\n2 x\n", "2 x"), ("10\n1_0 1\n", "1_0 1")])
+def test_table_poset_file_with_a_non_digit_cover_entry(runner, tmp_path, text, line):
+    path = tmp_path / "bad.poset"
+    path.write_text(text)
+    result = run(runner, "table", "rank", "0", "0", "census", "csv", "--poset-file", str(path))
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.output.splitlines()[-1] == (
+        f"Error: cannot read poset file {path}: malformed cover line {line!r}"
+    )
+
+
 def test_table_poset_file_capacity_and_native_census(runner, tmp_path):
     wide = tmp_path / "antichain18.poset"
     wide.write_text("18\n")

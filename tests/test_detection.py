@@ -19,10 +19,14 @@ DEGREE_ERRATUM = (
 
 
 def _clear_memos():
-    """Clear the row windows and the series rows, the only rows kept past a run;
-    the rows live on the series, which each builder makes once per process."""
+    """Clear everything kept past a run: the row windows, the closed forms'
+    k-free sums with the trinomials under them, and the series rows, which
+    live on the series each builder makes once per process."""
     formulas._KEPT.clear()
     formulas._COEFF_ROWS.clear()
+    formulas._alternating_trinomial_row.cache_clear()
+    formulas._cube_terms.cache_clear()
+    formulas.trinomial.cache_clear()
     for build in genfun.ALL_SERIES.values():
         build.cache_clear()
 
@@ -51,6 +55,17 @@ def _cube_closed_form_one_too_many_1_cubes(n, k):
     return formulas.q_coeff(n, k) + (k == 1)
 
 
+def _rank_closed_form_one_too_many_at_rank_1(n, k):
+    return formulas.r_coeff(n, k) + (k == 1)
+
+
+RANK_CLOSED_FORM_LINES = {
+    "rank: census vs closed form",
+    "rank: closed form vs recurrence",
+    "rank: closed-form coefficient sum equals 2*fib",
+}
+
+
 def _series_with_one_coefficient_raised(family, part, i):
     """A builder of ``family``'s series with 1 added to the y^i coefficient of
     its ``part``; it builds from the entry it replaces, captured here."""
@@ -73,6 +88,12 @@ def _series_with_one_coefficient_raised(family, part, i):
             "cube",
             _cube_closed_form_one_too_many_1_cubes,
             {"cube: census vs closed form", "cube: closed form vs recurrence"},
+        ),
+        (
+            formulas.CLOSED_FORMS,
+            "rank",
+            _rank_closed_form_one_too_many_at_rank_1,
+            RANK_CLOSED_FORM_LINES,
         ),
         (
             genfun.ALL_SERIES,
@@ -101,6 +122,7 @@ def _series_with_one_coefficient_raised(family, part, i):
     ],
     ids=[
         "closed form",
+        "rank closed form",
         "generating function",
         "generating function denominator",
         "generating function correction",
@@ -110,9 +132,10 @@ def _series_with_one_coefficient_raised(family, part, i):
 def test_a_fault_swapped_in_after_a_warm_run_fails_the_lines_it_fails_from_cold(
     fresh_memos, monkeypatch, table, family, fault, failing
 ):
-    # the closed-form rows are evaluated anew on each run and the expansion
-    # rows live on the series that expanded them, so no kept row can answer
-    # for the swapped route
+    # the closed forms keep only their k-free sums between runs, which the
+    # swapped entry reads through the same calls as the real one, and the
+    # expansion rows live on the series that expanded them, so no kept row
+    # can answer for the swapped route
     with monkeypatch.context() as local:
         local.setitem(table, family, fault)
         cold = _non_passing()
@@ -122,6 +145,17 @@ def test_a_fault_swapped_in_after_a_warm_run_fails_the_lines_it_fails_from_cold(
     warm = _non_passing()
     errata = {(CUBE_ERRATUM, "erratum"), (INDEGREE_ERRATUM, "erratum"), (DEGREE_ERRATUM, "erratum")}
     assert warm == cold == {(name, "fail") for name in failing} | errata
+
+
+def test_a_wrong_alternating_trinomial_sum_under_the_row_memo_fails_the_rank_closed_form(
+    fresh_memos, monkeypatch
+):
+    # the kept rows of P_a are built from this sum, so a fault in it must
+    # reach every line that reads the rank closed form
+    real = formulas._alternating_trinomial_sum
+    monkeypatch.setattr(formulas, "_alternating_trinomial_sum", lambda a, k: real(a, k) + (k == 0))
+    errata = {(CUBE_ERRATUM, "erratum"), (INDEGREE_ERRATUM, "erratum"), (DEGREE_ERRATUM, "erratum")}
+    assert _non_passing() == {(name, "fail") for name in RANK_CLOSED_FORM_LINES} | errata
 
 
 def test_a_wrong_cube_polynomial_step_fails_every_line_that_reads_it(fresh_memos, monkeypatch):

@@ -284,6 +284,51 @@ def test_alternating_trinomial_rows_step_by_the_half_index_rank_denominator():
         assert [p(a, k) for k in (-2, -1, 2 * a + 1, 2 * a + 2)] == [0, 0, 0, 0], a
 
 
+def _clear_closed_form_memos():
+    formulas._alternating_trinomial_row.cache_clear()
+    formulas._cube_terms.cache_clear()
+    formulas.trinomial.cache_clear()
+
+
+def _queries_in(order):
+    """(family, n) pairs to n = 80: rank and cube from the top n down, or every
+    family at n = 80, 0, 79, 1, ..., so that each query evicts the last one's
+    kept sums."""
+    if order == "descending":
+        return [(f, n) for f in ("rank", "cube") for n in range(80, CLOSED[f][1] - 1, -1)]
+    zigzag = [n for pair in zip(range(80, 40, -1), range(40)) for n in pair] + [40]
+    return [(f, n) for n in zigzag for f in sorted(CLOSED) if n >= CLOSED[f][1]]
+
+
+@pytest.mark.parametrize("order", ["descending", "interleaved"])
+def test_the_kept_closed_form_sums_answer_queries_in_any_order(order):
+    _clear_closed_form_memos()
+    for family, n in _queries_in(order):
+        coeff, full = CLOSED[family][0], FULL_RANGE[family]
+        for k in range(-2, n + 4):
+            assert coeff(n, k) == full(n, k), (family, n, k)
+
+
+def test_the_alternating_trinomial_row_of_a_negative_index_is_empty():
+    _clear_closed_form_memos()
+    assert formulas._alternating_trinomial_row(-1) == formulas._alternating_trinomial_row(-2) == ()
+
+
+@pytest.mark.parametrize("top", [80, pytest.param(400, marks=pytest.mark.slow)])
+def test_an_ascending_sweep_keeps_the_closed_form_sums_within_their_bounds(top):
+    _clear_closed_form_memos()
+    rows, terms = formulas._alternating_trinomial_row, formulas._cube_terms
+    assert (rows.cache_info().maxsize, terms.cache_info().maxsize) == (3, 1)
+    for n in range(top + 1):
+        for k in (0, n // 3, n):
+            if n >= 2:
+                r_coeff(n, k)
+            q_coeff(n, k)
+        assert rows.cache_info().currsize <= 3 and terms.cache_info().currsize <= 1, n
+    # each row is computed once: P_(-1) .. P_(top / 2), and the terms of every n
+    assert (rows.cache_info().misses, terms.cache_info().misses) == (top // 2 + 2, top + 1)
+
+
 def test_every_route_table_names_the_same_formula_families():
     # each route owns its family table, so a family added to one route and
     # missed by another shows up here rather than at its first call

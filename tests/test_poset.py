@@ -324,3 +324,11 @@ def test_text_parsing_errors():
         poset_from_text("2\n1 3\n")
     with pytest.raises(ValueError):
         poset_from_text("2\n1 2 3\n")
+
+
+@pytest.mark.parametrize("line", ["2 x", "1_0 1", "+2 1", "2 -1", "\u0662 1"])
+def test_text_refuses_a_cover_entry_that_is_not_ascii_decimal_digits(line):
+    # "1_0" would read as 10 and "\u0662" (Arabic-Indic two) as 2 by int()
+    with pytest.raises(ValueError) as info:
+        poset_from_text(f"10\n{line}\n")
+    assert str(info.value) == f"malformed cover line {line!r}"
