@@ -292,8 +292,8 @@ def _clear_closed_form_memos():
 
 def _queries_in(order):
     """(family, n) pairs to n = 80: rank and cube from the top n down, or every
-    family at n = 80, 0, 79, 1, ..., so that each query evicts the last one's
-    kept sums."""
+    family at n = 80, 0, 79, 1, ..., so that the kept sums are read in an
+    order other than the ascending sweep they are bounded for."""
     if order == "descending":
         return [(f, n) for f in ("rank", "cube") for n in range(80, CLOSED[f][1] - 1, -1)]
     zigzag = [n for pair in zip(range(80, 40, -1), range(40)) for n in pair] + [40]
