@@ -3,7 +3,9 @@
 Subcommands: ``table`` emits family coefficients as CSV or JSON, ``verify``
 runs the cross-verification suite, ``dot`` exports a Hasse diagram, and
 ``gf`` prints generating-function expansions.  Exit codes: 0 success,
-1 verification failure, 2 usage error, 3 capacity error.
+1 verification failure, 2 usage error, 3 capacity error.  ``dot N`` stops
+at ``tables.CENSUS_MAX_N``, the largest S-fence whose filters the poset
+layer enumerates, so it and ``dot --poset-file`` meet the same bound.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .polynomials import IntPoly
 from .poset import Poset, poset_from_text, sfence
 from .verify import run_verification
 
-DOT_MAX_N = 14
 GF_MAX_TERMS = 64
 
 
@@ -121,8 +122,8 @@ def dot(n, poset_file) -> None:
     else:
         if n < 0:
             raise click.UsageError("N must be non-negative")
-        if n > DOT_MAX_N:
-            raise CapacityError(f"dot export is limited to n <= {DOT_MAX_N}")
+        if n > tables.CENSUS_MAX_N:
+            raise CapacityError(f"dot export is limited to n <= {tables.CENSUS_MAX_N}")
         poset = sfence(n)
     click.echo(to_dot(filter_lattice(poset)), nl=False)
 

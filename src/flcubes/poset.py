@@ -313,6 +313,10 @@ def sfence(n: int) -> Poset:
 # -- text format -------------------------------------------------------------
 
 
+def _is_decimal(word: str) -> bool:
+    return word.isascii() and word.isdigit()
+
+
 def poset_from_text(text: str) -> Poset:
     """Parse the poset text format: first line n, then lines "a b" for a > b.
 
@@ -324,17 +328,14 @@ def poset_from_text(text: str) -> Poset:
     lines = [ln for ln in lines if ln]
     if not lines:
         raise ValueError("empty poset file")
-    try:
-        n = int(lines[0])
-    except ValueError:
+    # int() alone would also take signs, underscores and non-ASCII digits
+    if not _is_decimal(lines[0]):
         raise ValueError(f"first line must be the element count, got {lines[0]!r}")
-    if n < 0:
-        raise ValueError("element count must be non-negative")
+    n = int(lines[0])
     covers = []
     for ln in lines[1:]:
         parts = ln.split()
-        # int() alone would also take signs, underscores and non-ASCII digits
-        if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
+        if len(parts) != 2 or not all(map(_is_decimal, parts)):
             raise ValueError(f"malformed cover line {ln!r}")
         a, b = int(parts[0]), int(parts[1])
         if not (1 <= a <= n and 1 <= b <= n):

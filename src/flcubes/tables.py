@@ -5,7 +5,9 @@ the filter lattice (natively on the S-fence poset, or by the
 definition-level scan on any diagram), the recurrence and closed forms
 evaluate the derived expressions, and the generating-function route expands
 a rational series.  Each route owns its family table; this module adds only
-the lowest n each closed form is claimed for.  The outdegree family is
+the lowest n each closed form is claimed for and two caps on n: the census
+cap, derived from the poset layer's filter-count bound, and the formula
+cap, the range the formulas are claimed for.  The outdegree family is
 census-only, and the half-index rank series have a generating function and
 a coefficient recurrence only.  Nothing here keeps a row: a caller that
 reads a row twice, as ``verify`` does, holds it for its own run.
@@ -13,15 +15,19 @@ reads a row twice, as ``verify`` does, holds it for its own run.
 
 from __future__ import annotations
 
+from itertools import count
+
 from . import census, formulas, genfun
 from .lattice import LatticeDiagram
 from .polynomials import IntPoly
-from .poset import sfence
+from .poset import FILTER_COUNT_BOUND, sfence
 
 FAMILIES = tuple(census.DIAGRAM_CENSUS)
 CLOSED_MIN_N = {"rank": 2, "cube": 0, "maxcube": 3, "degree": 3, "indegree": 3}
 GF_FAMILIES = tuple(sorted(genfun.ALL_SERIES, key=lambda f: f not in FAMILIES))
-CENSUS_MAX_N = 18
+# The largest S-fence whose 2*F(n) filters the poset layer enumerates: the
+# census, verify's census range and dot all stop there.
+CENSUS_MAX_N = next(n for n in count(3) if 2 * formulas.fib(n + 1) > FILTER_COUNT_BOUND)
 FORMULA_MAX_N = 40
 
 

@@ -59,9 +59,10 @@ def test_criterion_1_golden_tables():
 def test_criterion_2_vertex_counts():
     with criterion(2, "vertex counts are 2*fib(n), with 1, 2, 3 at n = 0, 1, 2", budget_s=30.0):
         assert [sfence(n).count_filters() for n in range(3)] == [1, 2, 3]
-        for n in range(3, 19):
+        for n in range(3, tables.CENSUS_MAX_N + 1):
             assert sfence(n).count_filters() == 2 * fib(n), n
         assert sfence(18).count_filters() == 5168
+        assert sfence(25).count_filters() == 150050
 
 
 def test_criterion_3_four_way_agreement():
@@ -74,7 +75,7 @@ def test_criterion_3_four_way_agreement():
                 assert rec == gf[n], (family, n, "recurrence vs gf")
                 if n >= closed_lo:
                     assert tables.closed_poly(family, n) == rec, (family, n, "closed vs recurrence")
-                if n <= 18:
+                if n <= tables.CENSUS_MAX_N:
                     assert tables.census_poly(family, n) == rec, (family, n, "census vs recurrence")
 
 

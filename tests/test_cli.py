@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from flcubes.cli import main
+from flcubes.formulas import fib
 
 
 @pytest.fixture
@@ -70,7 +71,7 @@ _BAD_METHOD = (
 # each argument list after "table", with the last line it writes to stderr
 _USAGE_ERRORS = [
     ("rank 5 3 census csv", "need 0 <= FROM <= TO"),
-    ("rank 0 19 census csv", "the census method is limited to n <= 18"),
+    ("rank 0 26 census csv", "the census method is limited to n <= 25"),
     ("rank 0 41 gf csv", "the gf method is limited to n <= 40"),
     ("nosuch 0 3 census csv", _BAD_FAMILY),
     ("rank 0 3 nosuch csv", _BAD_METHOD),
@@ -126,6 +127,24 @@ def test_table_poset_file_with_a_non_digit_cover_entry(runner, tmp_path, text, l
     assert result.output.splitlines()[-1] == (
         f"Error: cannot read poset file {path}: malformed cover line {line!r}"
     )
+
+
+@pytest.mark.parametrize("header", ["1_0", "+3", "-3"])
+def test_table_poset_file_with_a_non_digit_header(runner, tmp_path, header):
+    path = tmp_path / "bad.poset"
+    path.write_text(f"{header}\n")
+    result = run(runner, "table", "rank", "0", "0", "census", "csv", "--poset-file", str(path))
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.output.splitlines()[-1] == (
+        f"Error: cannot read poset file {path}: first line must be the element count, got {header!r}"
+    )
+
+
+def test_table_census_reaches_the_census_cap(runner):
+    census = run(runner, "table", "rank", "25", "25", "census", "json")
+    assert census.exit_code == 0
+    assert census.output == run(runner, "table", "rank", "25", "25", "recurrence", "json").output
 
 
 def test_table_poset_file_capacity_and_native_census(runner, tmp_path):
@@ -232,10 +251,18 @@ def test_dot_phi7_counts(runner):
 
 
 def test_dot_capacity(runner):
-    result = run(runner, "dot", "15")
+    t0 = perf_counter()
+    result = run(runner, "dot", "26")
+    assert perf_counter() - t0 < 1
     assert result.exit_code == 3
-    assert result.output == "capacity error: dot export is limited to n <= 14\n"
+    assert result.output == "capacity error: dot export is limited to n <= 25\n"
     assert result.stdout == ""
+
+
+def test_dot_phi15_counts(runner):
+    result = run(runner, "dot", "15")
+    assert result.exit_code == 0
+    assert result.output.count("label=") == 2 * fib(15)
 
 
 def test_dot_poset_file(runner, tmp_path):

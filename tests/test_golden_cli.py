@@ -4,10 +4,11 @@
 whole stdout (``verify`` and every ``--help``) or, for the long ``table``,
 ``gf`` and ``dot`` outputs, the SHA-256 of its stdout.  It covers ``table``
 for every valid (family, method) pair, ``gf`` for all seven series, ``verify
-12``, ``verify 40`` (the formula ranges past n = 18), ``verify`` at the range
-edges (0 to 6, where the ranges are empty or start and the first of each split
-appears; 9, the last structural n; 14 and 15 around the diagram census cap;
-19 and 41, just past the census and formula caps), ``dot`` for the 7th
+12``, ``verify 40`` (the full battery, past the census cap of n = 25),
+``verify`` at the range edges (0 to 6, where the ranges are empty or start and
+the first of each split appears; 9, the last structural n; 14 and 15 around the
+diagram census cap; 19, one past the benchmark's ``verify 18``; 41, just past
+the formula cap), ``dot`` for the 7th
 S-fence and for ``golden.poset``, and the help text of the group and of each
 subcommand, which pins the order of the family and method choices.  Commands
 run in this directory, so a poset file is named by its bare file name.

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from conftest import mask_of, members, naturally_labelled_posets, posets
 from flcubes import poset as poset_module
+from flcubes import tables
 from flcubes.census import poset_census
 from flcubes.errors import CapacityError
 from flcubes.formulas import fib
@@ -232,6 +233,12 @@ def test_every_filter_entry_point_refuses_past_the_count_bound():
                 enumerate_filters()
 
 
+def test_the_census_cap_is_the_largest_sfence_under_the_count_bound():
+    assert sfence(tables.CENSUS_MAX_N).count_filters() <= poset_module.FILTER_COUNT_BOUND
+    with pytest.raises(CapacityError, match="^filter count exceeds 200000$"):
+        sfence(tables.CENSUS_MAX_N + 1).count_filters()
+
+
 def chain(n):
     return Poset(tuple(range(1, n + 1)), frozenset((i + 1, i) for i in range(1, n)))
 
@@ -332,3 +339,11 @@ def test_text_refuses_a_cover_entry_that_is_not_ascii_decimal_digits(line):
     with pytest.raises(ValueError) as info:
         poset_from_text(f"10\n{line}\n")
     assert str(info.value) == f"malformed cover line {line!r}"
+
+
+@pytest.mark.parametrize("header", ["1_0", "+3", "\u0663", "-3", "3 1"])
+def test_text_refuses_a_header_that_is_not_ascii_decimal_digits(header):
+    # int() would read "1_0" as 10 and "+3" and "\u0663" (Arabic-Indic three) as 3
+    with pytest.raises(ValueError) as info:
+        poset_from_text(f"{header}\n")
+    assert str(info.value) == f"first line must be the element count, got {header!r}"
