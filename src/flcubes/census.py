@@ -155,6 +155,7 @@ def _scan(diagram: LatticeDiagram) -> list[int | dict[int, int]]:
         ups = up_adj[a]
         up_a = upm[a]
         joins = [a]  # joins[t] joins the covers ups[i] for the bits i of t
+        fresh = True  # every block from first_read on is certified injective and new
         for k, u in enumerate(ups):
             up_u = upm[u]
             if k >= first_read:
@@ -168,7 +169,7 @@ def _scan(diagram: LatticeDiagram) -> list[int | dict[int, int]]:
                 try:
                     key = tuple(map(up_adj[u].index, w))  # w[i] is cover key[i] of u
                 except ValueError:  # some w[i] does not cover u: join as below
-                    pass
+                    fresh = False
                 else:
                     block = blocks.get(key)
                     if block is None:  # the remap t -> OR of 1 << key[i] over the bits i of t
@@ -176,7 +177,9 @@ def _scan(diagram: LatticeDiagram) -> list[int | dict[int, int]]:
                         for p in key:
                             remap += [r | 1 << p for r in remap]
                         block = blocks[key] = itemgetter(*remap)
+                    top = joins[-1]
                     joins += block(above[u])
+                    fresh = fresh and joins[-1] != top and isinstance(tops[u], int)
                     continue
             filled = len(joins)
             joins.append(u)  # a v u = u
@@ -187,7 +190,8 @@ def _scan(diagram: LatticeDiagram) -> list[int | dict[int, int]]:
                     raise ValueError("join is not unique; diagram is not a lattice")
                 joins.append(j)
         here[a] = joins
-        if (up_a & dnm[joins[-1]]).bit_count() == len(joins) == len(set(joins)):
+        unsure = joins[:1 << first_read] if fresh else joins  # the entries left to tell apart
+        if (up_a & dnm[joins[-1]]).bit_count() == len(joins) and len(set(unsure)) == len(unsure):
             tops[a] = joins[-1]
             continue
         m, rank_a = len(ups), ranks[a]

@@ -79,14 +79,14 @@ def main() -> None:
 )
 def table(family: str, from_n: int, to_n: int, method: str, fmt: str, poset_file) -> None:
     """Emit coefficients for FAMILY over FROM..TO by METHOD as FORMAT."""
-    if not 0 <= from_n <= to_n:
-        raise click.UsageError("need 0 <= FROM <= TO")
     if poset_file is not None:
         if method != "census":
             raise click.UsageError("--poset-file supports the census method only")
         poset = _load_poset(poset_file)
         _emit_rows([(len(poset), poset_census(poset)[family])], fmt)
         return
+    if not 0 <= from_n <= to_n:
+        raise click.UsageError("need 0 <= FROM <= TO")
     try:
         polys = tables.family_rows(family, from_n, to_n, method)
     except ValueError as exc:
