@@ -11,7 +11,9 @@ with an exact rule: for a set S of covers of a, [a, j] with j the join of S
 is Boolean iff every subset T of S joins to rank rank(a) + |T| and [a, j]
 has 2^|S| elements; for S all of a's covers the scan tests the equivalent,
 rank-free rule that [a, j] has 2^|S| elements and distinct T join to
-distinct vertices.  A bottom a whose whole set S of covers passes keeps
+distinct vertices, which it certifies block by block where the joins are
+read from the tables of covers that passed, hashing only the first sixteen
+of them there.  A bottom a whose whole set S of covers passes keeps
 only j_S, the join of S, since its cube tops are then exactly [a, j_S];
 any other bottom keeps {top: dimension}.  The cube and maximal-cube
 censuses read that table once per bottom: a bottom that passed adds the
@@ -59,10 +61,13 @@ GENERIC_DIM_BOUND = 3
 
 # The cover index k from which _scan reads the joins of a bottom's cover k
 # with the subsets of its earlier covers from cover k's own join table,
-# after k pair joins, instead of making 2^k - 1 joins.  Reading from index
-# 3 on, or only from index 5 on, made the in-process scans of the
-# poset-census lattices and of the S-fence lattices 0-18 2-9 % slower than
-# from index 4 on.  At least 1: a block is read as a tuple of 2^k entries.
+# after k pair joins, instead of making 2^k - 1 joins; the 2^k joins before
+# it are the ones hashed when every later block is certified.  In-process
+# scans of the seed-1 poset-census lattices and of the S-fence lattices
+# 0-18 (best of 7, alternated) read from index 5 on 13-22 % slower than from
+# index 4 on, from index 2 on 0-19 % slower, and from index 3 on level (each
+# of 3 and 4 ahead in four of eight alternations on the poset-census set).
+# At least 1: a block is read as a tuple of 2^k entries.
 _TABLE_COVER = 4
 
 # _scan's table per diagram, dropped with the diagram; diagrams hash by identity
@@ -82,8 +87,9 @@ def _scan(diagram: LatticeDiagram) -> list[int | dict[int, int]]:
     subsets of a's covers and tests S = all of them once.
 
     That whole-cover-set test reads no rank: [a, j_S] is Boolean iff it has
-    2^|S| elements and T -> j_T is injective, one interval popcount and one
-    set of the joins.  Each join is checked to be the least upper bound, so
+    2^|S| elements and T -> j_T is injective, one interval popcount and a
+    test that the joins are distinct (block by block; see the table reads
+    below).  Each join is checked to be the least upper bound, so
     j_(T u T') = j_T v j_T'.  An injective T -> j_T into [a, j_S], which has
     2^|S| elements, is a bijection onto it, and j_T <= j_T' iff
     j_(T u T') = j_T' iff T u T' = T' iff T is a subset of T', so it is an
@@ -127,6 +133,31 @@ def _scan(diagram: LatticeDiagram) -> list[int | dict[int, int]]:
     diagram already holds.  By tracemalloc the scan's peak is 0.4-1.5 MB on
     the poset-census lattices, up from 0.06-0.14 MB without tables, and
     2.4 MB on the 12-element antichain's.
+
+    The table reads also tell most bottoms' joins apart without hashing
+    them all.  Write S_k for u_0, ..., u_(k-1) and j_(S_k) for their join,
+    the last entry of the table before block k.  The first
+    min(m, ``_TABLE_COVER``) covers' sub-table, at most 16 entries, is
+    hashed.  A later block k is certified new and injective when it was
+    read whole from the table of a cover u_k that passed (``tops[u_k]`` is
+    an int) and the read moved the last entry, j_(S_k u {u_k}) != j_(S_k):
+
+    (a) every entry of block k lies above u_k and every earlier entry at or
+        below j_(S_k), so the two sets are disjoint iff u_k is not below
+        j_(S_k), which is iff j_(S_k) v u_k, the block's last entry, is not
+        j_(S_k);
+    (b) u_k's table is injective, as u_k passed, so the block is injective
+        iff the pair joins w_i are distinct, the remap then being injective;
+    (c) in a graded diagram, w_i = w_i' for i != i', both covering u_k,
+        forces u_i v u_i' = w_i, as w_i is an upper bound of u_i and u_i'
+        of rank rank(a) + 2, the least rank their join, a checked entry
+        before block k, can have; then u_k <= j_(S_k), and (a) fails.
+
+    So where every block from ``_TABLE_COVER`` on is certified, the joins
+    are distinct iff the first sub-table's are.  A block joined by mask
+    ANDs, read from a failed cover's table, or leaving the last entry in
+    place sends the bottom back to one set of all 2^m joins.  No verdict
+    changes, and every join is still checked as above.
 
     Both bounds are checked before the masks are read.  The memo is
     ``_TABLES``, keyed on the diagram, which hashes by identity, and kept

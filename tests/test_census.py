@@ -92,7 +92,7 @@ def cubes_of(d):
     return sorted((k, a, j) for a, found in enumerate(scan_table(d)) for j, k in found.items())
 
 
-def test_enumerate_cubes_small():
+def test_scan_cubes_small():
     d = phi(1)
     assert [dim for dim, _, _ in cubes_of(d)] == [0, 0, 1]
     assert cube_polynomial(phi(4)) == IntPoly([6, 6, 1])
@@ -349,6 +349,119 @@ def test_scan_falls_back_where_a_join_of_covers_skips_a_rank():
     assert FAR_FIFTH_ATOM.top not in FAR_FIFTH_ATOM.up_adj[s5]
     assert_scan_matches_reference(FAR_FIFTH_ATOM)
     assert cube_polynomial(FAR_FIFTH_ATOM) == IntPoly([14, 25, 6])
+
+
+# -- the scan's block-by-block injectivity certificate -------------------------------
+
+
+def brute_joins(d):
+    """The reflexive up-set of each vertex, as a frozenset, and join(vs), the
+    least common upper bound of the vertices vs or None, by closing the covers."""
+    above = [frozenset()] * len(d)
+    for v in sorted(range(len(d)), key=lambda v: -d.ranks[v]):
+        above[v] = frozenset({v}).union(*(above[u] for u in d.up_adj[v]))
+
+    def join(vs):
+        common = frozenset(range(len(d))).intersection(*(above[v] for v in vs))
+        least = [j for j in common if common <= above[j]]
+        return least[0] if least else None
+
+    return above, join
+
+
+@given(graded_diagrams(max_width=5))
+@example(M3)
+@settings(max_examples=300, deadline=None)
+def test_scan_pair_joins_meeting_over_a_cover_leave_the_top_unchanged(d):
+    # lemma (c) of _scan: where the pair joins w_i = u_i v u_k and
+    # w_i' = u_i' v u_k of a bottom's covers coincide and cover u_k, and
+    # u_i v u_i' exists, as it does wherever the scan reads the block, it is
+    # w_i; so u_k lies below the join of u_0, ..., u_(k-1), and the block
+    # with u_k leaves the running top unchanged (M3: 1 v 3 = 2 v 3 = 1 v 2)
+    above, join = brute_joins(d)
+    for ups in d.up_adj:
+        for k, u in enumerate(ups):
+            w = [join((v, u)) for v in ups[:k]]
+            for i, i2 in combinations(range(k), 2):
+                if w[i] is None or w[i] != w[i2] or w[i] not in d.up_adj[u]:
+                    continue
+                pair = join((ups[i], ups[i2]))
+                if pair is None:
+                    continue
+                assert pair == w[i]
+                top = join(ups[:k])
+                assert top is None or top in above[u]
+
+
+def test_scan_set_tests_a_bottom_whose_block_leaves_the_top_unchanged(table_cover):
+    # read from cover 1 on, M3's bottom reads atom 3's block from 3's table,
+    # as 1 v 3 = 2 v 3 = 4 covers 3; but 3 <= 1 v 2 = 4, so the block adds no
+    # new top and certifies nothing: the bottom's joins are set-tested
+    above, join = brute_joins(M3)
+    s1, s2, s3 = M3.up_adj[0]
+    assert join((s1, s3)) == join((s2, s3)) == join((s1, s2)) == 4
+    assert M3.up_adj[s3] == (4,)
+    assert_scan_matches_reference(M3)
+    assert isinstance(census._scan(M3)[0], dict)
+
+
+def test_scan_set_test_alone_refuses_the_fake_cube_read_from_cover_2(monkeypatch):
+    # read from cover 2 on, FAKE_CUBE's bottom joins s1 and s2 by mask ANDs
+    # and reads s3's block from s3's table, which passed: s1 v s3 and
+    # s2 v s3 cover s3.  The block leaves the top s1 v s2 in place, and
+    # [bottom, top] has 2^3 elements, so only the set of all the joins
+    # tells that the 3-cube is fake (from cover 1 on, s2's block is joined
+    # by mask ANDs and sends the bottom to the set test first)
+    monkeypatch.setattr(census, "_TABLE_COVER", 2)
+    monkeypatch.setattr(census, "_TABLES", weakref.WeakKeyDictionary())
+    above, join = brute_joins(FAKE_CUBE)
+    s1, s2, s3 = FAKE_CUBE.up_adj[0]
+    assert join((s1, s3)) in FAKE_CUBE.up_adj[s3] and join((s2, s3)) in FAKE_CUBE.up_adj[s3]
+    assert join((s1, s2)) == FAKE_CUBE.top and len(above[0]) == 8
+    assert isinstance(census._scan(FAKE_CUBE)[s3], int)
+    assert_scan_matches_reference(FAKE_CUBE)
+    assert cube_polynomial(FAKE_CUBE) == IntPoly([8, 11, 4])
+
+
+def test_scan_set_tests_a_bottom_read_from_a_failed_cover_or_joined_by_masks(table_cover):
+    # read from cover 1 on, FAR_FIFTH_ATOM's bottom reads atom s2's block
+    # from s2's table, as s1 v s2 covers s2, but s2 fails the whole-set test
+    # (three covers, only 5 elements up to the top), so the block certifies
+    # nothing; and its block with s5, whose pair joins are the top, is
+    # joined by mask ANDs
+    above, join = brute_joins(FAR_FIFTH_ATOM)
+    s1, s2, s3, s4, s5 = FAR_FIFTH_ATOM.up_adj[0]
+    assert join((s1, s2)) in FAR_FIFTH_ATOM.up_adj[s2]
+    assert len(FAR_FIFTH_ATOM.up_adj[s2]) == 3 and len(above[s2]) == 5
+    assert all(join((s, s5)) == FAR_FIFTH_ATOM.top for s in (s1, s2, s3, s4))
+    assert FAR_FIFTH_ATOM.top not in FAR_FIFTH_ATOM.up_adj[s5]
+    assert_scan_matches_reference(FAR_FIFTH_ATOM)
+    table = census._scan(FAR_FIFTH_ATOM)
+    assert isinstance(table[s2], dict) and isinstance(table[0], dict)
+
+
+# atoms s1, s2 under x alone and s3 under y and z, all under the top, as
+# vertices 0..7 in the order bottom, s1, s2, s3, x, y, z, top: [bottom, top]
+# has 2^3 elements, but s1 v s3 = s2 v s3 = top, so it is no 3-cube
+SHARED_ATOM_PAIR = lattice_from_covers(
+    (0, 1, 1, 1, 2, 2, 2, 3),
+    [(1, 0), (2, 0), (3, 0), (4, 1), (4, 2), (5, 3), (6, 3), (7, 4), (7, 5), (7, 6)],
+)
+
+
+def test_scan_set_test_alone_refuses_a_fake_cube_joined_by_masks(table_cover):
+    # read from cover 1 on, the bottom reads s2's block from s2's table,
+    # which passed, and it moves the top; s3's pair joins are the top, which
+    # does not cover s3, so s3's block is joined by mask ANDs, and only the
+    # set of all the joins tells that the 3-cube is fake
+    above, join = brute_joins(SHARED_ATOM_PAIR)
+    s1, s2, s3 = SHARED_ATOM_PAIR.up_adj[0]
+    assert join((s1, s2)) in SHARED_ATOM_PAIR.up_adj[s2]
+    assert join((s1, s3)) == join((s2, s3)) == SHARED_ATOM_PAIR.top
+    assert SHARED_ATOM_PAIR.top not in SHARED_ATOM_PAIR.up_adj[s3] and len(above[0]) == 8
+    assert isinstance(census._scan(SHARED_ATOM_PAIR)[s2], int)
+    assert_scan_matches_reference(SHARED_ATOM_PAIR)
+    assert cube_polynomial(SHARED_ATOM_PAIR) == IntPoly([8, 10, 2])
 
 
 def random_poset_with_many_filters():

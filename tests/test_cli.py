@@ -117,6 +117,20 @@ def test_table_poset_file(runner, tmp_path):
     assert run(runner, "table", "rank", "0", "0", "census", "csv", "--poset-file", str(trash)).exit_code == 2
 
 
+def test_table_poset_file_ignores_the_range(runner, tmp_path):
+    # with a poset file FROM/TO are not read, so a reversed range is accepted;
+    # without one it is still a usage error
+    path = tmp_path / "chain.poset"
+    path.write_text("3\n1 2\n2 3\n")
+    want = run(runner, "table", "rank", "0", "0", "census", "csv", "--poset-file", str(path))
+    got = run(runner, "table", "rank", "3", "1", "census", "csv", "--poset-file", str(path))
+    assert got.exit_code == want.exit_code == 0
+    assert got.output == want.output
+    plain = run(runner, "table", "rank", "3", "1", "census", "csv")
+    assert plain.exit_code == 2
+    assert plain.output.splitlines()[-1] == "Error: need 0 <= FROM <= TO"
+
+
 @pytest.mark.parametrize("text, line", [("3\n2 x\n", "2 x"), ("10\n1_0 1\n", "1_0 1")])
 def test_table_poset_file_with_a_non_digit_cover_entry(runner, tmp_path, text, line):
     path = tmp_path / "bad.poset"
