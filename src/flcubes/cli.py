@@ -75,7 +75,7 @@ def main() -> None:
     type=click.Path(),
     default=None,
     help="Compute the family on this poset instead of the S-fence range; "
-    "census only, FROM/TO are ignored.",
+    "census only. FROM and TO are ignored but must still be integers.",
 )
 def table(family: str, from_n: int, to_n: int, method: str, fmt: str, poset_file) -> None:
     """Emit coefficients for FAMILY over FROM..TO by METHOD as FORMAT."""

@@ -80,10 +80,13 @@ METHODS = ("census", "recurrence", "closed", "gf")
 def family_rows(family: str, lo: int, hi: int, method: str) -> list[IntPoly]:
     """The polynomials n = lo..hi of ``family`` by a method in ``METHODS``.
 
-    A formula method on a census-only family is refused first, then a range
-    past the method's cap, before any row is built; ``closed_poly`` refuses
-    a row below the family's lowest closed-form n.
+    A negative ``lo`` is refused first, then a formula method on a
+    census-only family, then a range past the method's cap, before any row
+    is built; ``closed_poly`` refuses a row below the family's lowest
+    closed-form n.
     """
+    if lo < 0:
+        raise ValueError(f"lo must be non-negative, got {lo}")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method != "census":

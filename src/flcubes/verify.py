@@ -9,7 +9,8 @@ erratum records, which never fail a run but are always printed.
 
 A run builds its subject once, the S-fences with their native censuses,
 filter lattices and route rows, and hands each check group the lists it
-reads; nothing is kept past the run.
+reads; nothing is kept past the run.  Each group yields its records in
+report order, and ``_record`` makes every pass or fail from its first failure.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ from .polynomials import IntPoly
 from .poset import fence, sfence
 
 # Each range is set by its cost, timed in-process (2-vCPU Xeon, Python
-# 3.11.7; medians of five alternating rounds) against 73 ms for a whole run
-# to n = 18.  All seven series multiplied back to y^40: 5 ms (14 ms to y^80).
+# 3.11.7; medians of five alternating rounds).  All seven series
+# multiplied back to y^40: 5 ms (14 ms to y^80).
 GF_EXACTNESS_DEPTH = 40
 # Both splits to n = 9: 12 ms (36 ms to 12, 114 ms to 14).
 STRUCTURAL_MAX_N = 9
@@ -109,27 +110,25 @@ class VerificationReport:
         )
         return "\n".join(lines)
 
-    def record(self, name, scope, failures) -> None:
-        """Record one check: failed with the first detail the lazy iterable
-        ``failures`` yields, so nothing past it is computed, or passed."""
-        detail = next(iter(failures), None)
-        status = "pass" if detail is None else "fail"
-        self.records.append(CheckRecord(name, scope, status, detail or ""))
 
-    def compare_range(self, name, lo, hi, fa, fb) -> None:
-        """Record one check comparing fa(n) to fb(n) over lo..hi."""
-        pairs = ((n, fa(n), fb(n)) for n in range(lo, hi + 1))
-        scope = f"n={lo}..{hi}" if lo <= hi else "empty range"
-        self.record(name, scope, (f"n={n}: {a} vs {b}" for n, a, b in pairs if a != b))
+def _record(name: str, scope: str, failures) -> CheckRecord:
+    """One check: failed with the first detail the lazy iterable ``failures``
+    yields, so nothing past it is computed, or passed."""
+    detail = next(iter(failures), None)
+    return CheckRecord(name, scope, "pass" if detail is None else "fail", detail or "")
 
-    def check(self, name, scope, ok, detail="") -> None:
-        self.record(name, scope, () if ok else (detail,))
+
+def _compare(name: str, lo: int, hi: int, fa, fb) -> CheckRecord:
+    """One check comparing fa(n) to fb(n) over lo..hi.  Both are called before
+    it returns, so they may read a caller's loop variables."""
+    pairs = ((n, fa(n), fb(n)) for n in range(lo, hi + 1))
+    scope = f"n={lo}..{hi}" if lo <= hi else "empty range"
+    return _record(name, scope, (f"n={n}: {a} vs {b}" for n, a, b in pairs if a != b))
 
 
 def run_verification(max_n: int) -> VerificationReport:
     if max_n < 0:
         raise ValueError("max_n must be non-negative")
-    report = VerificationReport(max_n)
     census_hi = min(max_n, tables.CENSUS_MAX_N)
     formula_hi = min(max_n, tables.FORMULA_MAX_N)
 
@@ -147,27 +146,21 @@ def run_verification(max_n: int) -> VerificationReport:
         }
         rows[family, "generating function"] = tables.gf_polys(family, formula_hi + 1)
 
-    _method_agreement(report, rows, posets, census_hi, formula_hi)
-    _identity_suite(report, rows, diagrams, census_hi, formula_hi)
-    _gf_exactness(report)
-    _interleaving(report, formula_hi)
-    # each range below stops at the end of the list it reads
-    _structural(report, min(STRUCTURAL_MAX_N, len(diagrams) - 1), posets, diagrams)
-    hi = min(CONEXP_MAX_N, len(posets) - 1)
-    name = "filter counts split under element deletion"
-    report.record(name, f"n<={hi}", _conexp_counts(posets, hi))
-    hi = min(GENERIC_CUBE_MAX_N, len(diagrams) - 1)
-    name = "subgraph search agrees with interval cube census"
-    report.record(name, f"n<={hi}, k<={GENERIC_DIM_BOUND}", _generic_cubes(diagrams, hi))
-    _erratum_probes(report, rows, census_hi)
-
-    return report
+    records = [
+        *_comparisons(rows, posets, diagrams, census_hi, formula_hi),
+        *_series(formula_hi),
+        *_structural(min(STRUCTURAL_MAX_N, len(diagrams) - 1), posets, diagrams),
+        *_oracles(posets, diagrams),
+        *_erratum_probes(rows, census_hi),
+    ]
+    return VerificationReport(max_n, records)
 
 
-# -- check groups ---------------------------------------------------------------
+# -- check groups: each yields its records, and a range stops at the end of the list it reads
 
 
-def _method_agreement(report: VerificationReport, rows, posets, census_hi, formula_hi) -> None:
+def _comparisons(rows, posets, diagrams, census_hi, formula_hi):
+    """Each route against the others, then against identities in reference numbers."""
     for family, closed_lo in tables.CLOSED_MIN_N.items():
         for a, b, lo, hi in (
             ("census", "recurrence", 0, census_hi),
@@ -176,37 +169,24 @@ def _method_agreement(report: VerificationReport, rows, posets, census_hi, formu
             ("closed form", "recurrence", closed_lo, formula_hi),
         ):
             ra, rb = rows[family, a], rows[family, b]
-            report.compare_range(f"{family}: {a} vs {b}", lo, hi, ra.__getitem__, rb.__getitem__)
-    report.compare_range(
-        "outdegree: census total vs vertex count",
-        0,
-        census_hi,
-        lambda n: rows["outdegree", "census"][n](1),
-        lambda n: posets[n].count_filters(),
+            yield _compare(f"{family}: {a} vs {b}", lo, hi, ra.__getitem__, rb.__getitem__)
+    yield _compare(
+        "outdegree: census total vs vertex count", 0, census_hi,
+        lambda n: rows["outdegree", "census"][n](1), lambda n: posets[n].count_filters(),
     )
     for family, lo in VALIDATED_FROM.items():
         poly, size, shift = polynomial_row(family)
-        report.compare_range(
-            f"{family}: coefficient recurrence vs polynomial recurrence",
-            lo,
-            formula_hi // size,
-            lambda n, f=family: IntPoly([coeff_by_recurrence(f, n, k) for k in range(2 * n + 2)]),
-            lambda n, r=rows[poly, "recurrence"], s=size, h=shift: r[s * n + h],
+        yield _compare(
+            f"{family}: coefficient recurrence vs polynomial recurrence", lo, formula_hi // size,
+            lambda n: IntPoly([coeff_by_recurrence(family, n, k) for k in range(2 * n + 2)]),
+            lambda n: rows[poly, "recurrence"][size * n + shift],
         )
-    report.compare_range(
-        "vertex count: filters vs 2*fib",
-        0,
-        census_hi,
-        lambda n: posets[n].count_filters(),
-        lambda n: (1, 2, 3)[n] if n < 3 else 2 * fib(n),
+    yield _compare(
+        "vertex count: filters vs 2*fib", 0, census_hi,
+        lambda n: posets[n].count_filters(), lambda n: (1, 2, 3)[n] if n < 3 else 2 * fib(n),
     )
-
-
-def _identity_suite(report: VerificationReport, rows, diagrams, census_hi, formula_hi) -> None:
-    report.compare_range(
-        "indegree(1+x) equals cube polynomial (recurrence route)",
-        0,
-        formula_hi,
+    yield _compare(
+        "indegree(1+x) equals cube polynomial (recurrence route)", 0, formula_hi,
         lambda n: rows["indegree", "recurrence"][n].compose(_ONE_PLUS_X),
         rows["cube", "recurrence"].__getitem__,
     )
@@ -214,84 +194,63 @@ def _identity_suite(report: VerificationReport, rows, diagrams, census_hi, formu
     # taken from the diagram scan to keep this check from being circular;
     # the scan adds C(m, k) for a bottom with m covers only once it has
     # found that they span a Boolean interval
-    report.compare_range(
-        "indegree(1+x) equals cube polynomial (census route)",
-        0,
-        min(census_hi, QD_CENSUS_MAX_N),
+    yield _compare(
+        "indegree(1+x) equals cube polynomial (census route)", 0, min(census_hi, QD_CENSUS_MAX_N),
         lambda n: rows["indegree", "census"][n].compose(_ONE_PLUS_X),
         lambda n: tables.diagram_poly("cube", diagrams[n]),
     )
-    report.compare_range(
-        "maximal cubes at x=1 equal Padovan numbers",
-        3,
-        formula_hi,
-        lambda n: rows["maxcube", "recurrence"][n](1),
-        lambda n: padovan133(n - 2),
+    yield _compare(
+        "maximal cubes at x=1 equal Padovan numbers", 3, formula_hi,
+        lambda n: rows["maxcube", "recurrence"][n](1), lambda n: padovan133(n - 2),
     )
     for family in ("rank", "degree", "indegree"):
-        report.compare_range(
-            f"{family}: closed-form coefficient sum equals 2*fib",
-            3,
-            formula_hi,
-            lambda n, r=rows[family, "closed form"]: r[n](1),
-            lambda n: 2 * fib(n),
+        yield _compare(
+            f"{family}: closed-form coefficient sum equals 2*fib", 3, formula_hi,
+            lambda n: rows[family, "closed form"][n](1), lambda n: 2 * fib(n),
         )
-    report.compare_range(
-        "rank generating function at x=1 equals 2*fib",
-        3,
-        formula_hi,
-        lambda n: rows["rank", "generating function"][n](1),
-        lambda n: 2 * fib(n),
+    yield _compare(
+        "rank generating function at x=1 equals 2*fib", 3, formula_hi,
+        lambda n: rows["rank", "generating function"][n](1), lambda n: 2 * fib(n),
     )
-    report.compare_range(
-        "diagonal binomial sums equal Fibonacci numbers",
-        0,
-        formula_hi,
-        lambda n: sum(binom(n - k, k) for k in range(n // 2 + 1)),
-        lambda n: fib(n + 1),
+    yield _compare(
+        "diagonal binomial sums equal Fibonacci numbers", 0, formula_hi,
+        lambda n: sum(binom(n - k, k) for k in range(n // 2 + 1)), lambda n: fib(n + 1),
     )
 
 
-def _gf_exactness(report: VerificationReport) -> None:
+def _series(formula_hi: int):
+    """Each series multiplied back by its denominator, then the rank series
+    against its even and odd halves."""
     for family, builder in ALL_SERIES.items():
         failure = builder().exactness_failure(GF_EXACTNESS_DEPTH + 1)
-        report.check(
-            f"{family} generating function: expansion times denominator "
-            "reproduces numerator",
-            f"y^0..y^{GF_EXACTNESS_DEPTH}",
-            failure is None,
-            failure or "",
-        )
-
-
-def _interleaving(report: VerificationReport, formula_hi: int) -> None:
+        name = f"{family} generating function: expansion times denominator reproduces numerator"
+        yield _record(name, f"y^0..y^{GF_EXACTNESS_DEPTH}", [] if failure is None else [failure])
     hi_m = formula_hi // 2
     evens = tables.gf_polys("rank-even", hi_m + 1)
     odds = tables.gf_polys("rank-odd", hi_m + 1)
     ranks = tables.gf_polys("rank", 2 * hi_m + 2)
     ok = ranks[0::2] == evens and ranks[1::2] == odds
-    report.check(
-        "rank series interleaves even and odd series", f"m=0..{hi_m}", ok,
-        "even or odd slice mismatch",
-    )
+    name = "rank series interleaves even and odd series"
+    yield _record(name, f"m=0..{hi_m}", [] if ok else ["even or odd slice mismatch"])
 
 
-def _split_checks(report: VerificationReport, tag, n, host, interval, cutting, direct) -> None:
+def _split_checks(tag, n, host, interval, cutting, direct):
     """One split of ``direct`` = phi(n): the cutting, counts, rank split, cube identity, iso.
 
     ``cutting`` is what the interval should be as its own diagram: the text
     after "matches", that diagram, and the failure detail.  Every split
     checked here is anchored at the host's top or at its bottom, which fixes
-    the rank split.
+    the rank split.  A detail is built only for a check that fails.
     """
     scope = f"n={n}"
     part = interval_diagram(host, interval)
     what, expected_part, detail = cutting
-    report.check(f"{tag}: cutting matches {what}", scope, _isomorphic(part, expected_part), detail)
+    ok = _isomorphic(part, expected_part)
+    yield _record(f"{tag}: cutting matches {what}", scope, [] if ok else [detail])
 
     expanded = convex_expansion(host, interval)
     ok = len(expanded) == len(host) + len(part)
-    report.check(f"{tag}: vertex count is additive", scope, ok, "count mismatch")
+    yield _record(f"{tag}: vertex count is additive", scope, [] if ok else ["count mismatch"])
 
     r_host = rank_polynomial(host)
     r_part = rank_polynomial(part)
@@ -303,54 +262,48 @@ def _split_checks(report: VerificationReport, tag, n, host, interval, cutting, d
     else:
         expected = r_part + _X * r_host
         label = "bottom-anchored"
-    report.check(
-        f"{tag}: rank polynomial obeys the {label} expansion split",
-        scope,
-        r_exp == expected,
-        f"{r_exp} vs {expected}",
-    )
+    name = f"{tag}: rank polynomial obeys the {label} expansion split"
+    yield _record(name, scope, [] if r_exp == expected else [f"{r_exp} vs {expected}"])
 
-    q_host = cube_polynomial(host)
-    q_part = cube_polynomial(part)
     q_exp = cube_polynomial(expanded)
-    report.check(
-        f"{tag}: cube polynomial gains (1+x) times the cutting's",
-        scope,
-        q_exp == q_host + _ONE_PLUS_X * q_part,
-        f"{q_exp} vs {q_host + _ONE_PLUS_X * q_part}",
-    )
+    expected = cube_polynomial(host) + _ONE_PLUS_X * cube_polynomial(part)
+    name = f"{tag}: cube polynomial gains (1+x) times the cutting's"
+    yield _record(name, scope, [] if q_exp == expected else [f"{q_exp} vs {expected}"])
 
-    report.check(
-        f"{tag}: expansion is isomorphic to the direct construction",
-        scope,
-        _isomorphic(expanded, direct),
-        "no rank-preserving isomorphism found",
-    )
+    ok = _isomorphic(expanded, direct)
+    name = f"{tag}: expansion is isomorphic to the direct construction"
+    yield _record(name, scope, [] if ok else ["no rank-preserving isomorphism found"])
 
 
-def _structural(report: VerificationReport, hi: int, posets, diagrams) -> None:
+def _structural(hi: int, posets, diagrams):
     for n in range(5, hi + 1):
         host = filter_lattice(fence(n - 1).dual())
         interval = Interval(host.bottom, host.find_filter({1, 2, 3}))
-        report.check(
-            "dual-fence split: interval is a cutting",
-            f"n={n}",
-            is_cutting(host, interval),
-            "not a cutting",
-        )
+        name = "dual-fence split: interval is a cutting"
+        yield _record(name, f"n={n}", [] if is_cutting(host, interval) else ["not a cutting"])
         fences = filter_lattice(fence(n - 4))
         cutting = ("the short fence lattice", fences, "cutting is not the expected fence lattice")
-        _split_checks(report, "dual-fence split", n, host, interval, cutting, diagrams[n])
+        yield from _split_checks("dual-fence split", n, host, interval, cutting, diagrams[n])
     for n in range(6, hi + 1):
         host, interval = deletion_cutting(posets[n], n)
         cutting = ("the smaller cube", diagrams[n - 2], "cutting is not the expected smaller cube")
-        _split_checks(report, "last-element split", n, host, interval, cutting, diagrams[n])
+        yield from _split_checks("last-element split", n, host, interval, cutting, diagrams[n])
 
 
 def _isomorphic(a, b) -> bool:
     """True iff both diagrams certify as distributive, with isomorphic join-irreducibles."""
     ja, jb = join_irreducibles(a), join_irreducibles(b)
     return ja is not None and jb is not None and ja.is_isomorphic(jb)
+
+
+def _oracles(posets, diagrams):
+    """The filter counts under element deletion, and the subgraph search against the scan."""
+    hi = min(CONEXP_MAX_N, len(posets) - 1)
+    name = "filter counts split under element deletion"
+    yield _record(name, f"n<={hi}", _conexp_counts(posets, hi))
+    hi = min(GENERIC_CUBE_MAX_N, len(diagrams) - 1)
+    name = "subgraph search agrees with interval cube census"
+    yield _record(name, f"n<={hi}, k<={GENERIC_DIM_BOUND}", _generic_cubes(diagrams, hi))
 
 
 def _conexp_counts(posets, hi: int):
@@ -375,8 +328,6 @@ def _generic_cubes(diagrams, hi: int):
                 yield f"n={n}, k={k}: {got} vs {poly.coeff(k)}"
 
 
-# -- erratum probes -----------------------------------------------------------
-
 # The three coefficient recurrences whose stated start fails, in report
 # order, with that start.  Each probe applies the statement to census rows,
 # expects the mismatch at every index from the stated start up to the
@@ -384,7 +335,7 @@ def _generic_cubes(diagrams, hi: int):
 _ERRATA = (("cube", 4), ("indegree", 3), ("degree", 4))
 
 
-def _erratum_probes(report: VerificationReport, rows, census_hi: int) -> None:
+def _erratum_probes(rows, census_hi: int):
     for family, stated_from in _ERRATA:
         statement = COEFF_RECURRENCES[family].statement
         valid_from = VALIDATED_FROM[family]
@@ -412,11 +363,9 @@ def _erratum_probes(report: VerificationReport, rows, census_hi: int) -> None:
             else f"holds for n={valid_from}..{census_hi}"
         )
         ok = not fails and all(predicted[n] != census[n] for n in probe_ns)
-        report.records.append(
-            CheckRecord(
-                f"{family} coefficient recurrence {statement}",
-                f"probe n={','.join(map(str, probe_ns))}",
-                "erratum" if ok else "fail",
-                "; ".join(details),
-            )
+        yield CheckRecord(
+            f"{family} coefficient recurrence {statement}",
+            f"probe n={','.join(map(str, probe_ns))}",
+            "erratum" if ok else "fail",
+            "; ".join(details),
         )

@@ -131,6 +131,15 @@ def test_table_poset_file_ignores_the_range(runner, tmp_path):
     assert plain.output.splitlines()[-1] == "Error: need 0 <= FROM <= TO"
 
 
+def test_table_poset_file_still_parses_the_range_as_integers(runner, tmp_path):
+    # FROM/TO are ignored with a poset file, but click still types them
+    path = tmp_path / "chain.poset"
+    path.write_text("3\n1 2\n2 3\n")
+    result = run(runner, "table", "rank", "x", "0", "census", "csv", "--poset-file", str(path))
+    assert result.exit_code == 2
+    assert result.output.splitlines()[-1] == "Error: Invalid value for 'FROM': 'x' is not a valid integer."
+
+
 @pytest.mark.parametrize("text, line", [("3\n2 x\n", "2 x"), ("10\n1_0 1\n", "1_0 1")])
 def test_table_poset_file_with_a_non_digit_cover_entry(runner, tmp_path, text, line):
     path = tmp_path / "bad.poset"

@@ -24,7 +24,7 @@ from flcubes.formulas import (
 from flcubes.genfun import ALL_SERIES
 from flcubes.polynomials import IntPoly
 from flcubes.poset import sfence
-from flcubes.tables import CLOSED_MIN_N, FAMILIES, recurrence_poly
+from flcubes.tables import CLOSED_MIN_N, FAMILIES, METHODS, family_rows, recurrence_poly
 
 CLOSED = {
     "rank": (r_coeff, 2),
@@ -336,6 +336,13 @@ def test_every_route_table_names_the_same_formula_families():
     assert formula_families == set(RECURRENCES) == set(CLOSED_MIN_N)
     assert formula_families == set(ALL_SERIES) & set(FAMILIES)
     assert tuple(poset_census(sfence(4))) == FAMILIES
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_family_rows_refuses_a_negative_start_by_every_method(method):
+    # the gf route slices its expansion, where -2 would count from the end
+    with pytest.raises(ValueError, match="non-negative"):
+        family_rows("cube", -2, 5, method)
 
 
 def test_indegree_compose_equals_cube_deep():

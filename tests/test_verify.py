@@ -2,6 +2,7 @@ import pytest
 
 from flcubes import census, tables, verify
 from flcubes.lattice import filter_lattice
+from flcubes.polynomials import IntPoly
 from flcubes.poset import sfence
 from flcubes.verify import CheckRecord, VerificationReport, run_verification
 
@@ -56,6 +57,26 @@ def test_report_rendering_and_exit_codes():
     assert "3 checks: 1 passed, 1 failed, 1 errata" in text
 
 
+def test_a_failing_comparison_shows_its_first_mismatch_and_stops_there(monkeypatch):
+    # the diagram-scan route is wrong at n = 5 (the S-fence with 10 filters)
+    # and raises on every later row, so the check must stop at n = 5
+    real = tables.diagram_poly
+
+    def faulty(family, diagram):
+        if len(diagram) > 10:
+            raise AssertionError("a row past the first mismatch was computed")
+        poly = real(family, diagram)
+        return poly + IntPoly((0, 0, 1)) if len(diagram) == 10 else poly
+
+    monkeypatch.setattr(tables, "diagram_poly", faulty)
+    report = run_verification(12)
+    assert report.failures == 1
+    assert (
+        "FAIL    indegree(1+x) equals cube polynomial (census route) [n=0..12]: "
+        "n=5: 10 + 13x + 4x^2 vs 10 + 13x + 5x^2"
+    ) in report.render().splitlines()
+
+
 def test_probe_records_carry_polynomials():
     report = run_verification(6)
     cube_probe = next(
@@ -94,12 +115,11 @@ def test_verify_builds_each_census_and_recurrence_row_once_per_run(monkeypatch):
 def test_structural_checks_pass_past_the_reported_range():
     # S-fence 12 has 288 vertices and S-fence 14 has 754; no structural
     # check has a vertex bound of its own
-    report = VerificationReport(14)
     posets = [sfence(n) for n in range(15)]
-    verify._structural(report, 14, posets, [filter_lattice(p) for p in posets])
-    assert len(report.records) == 10 * 6 + 9 * 5
-    assert all(r.status == "pass" for r in report.records), [
-        r.render() for r in report.records if r.status != "pass"
+    records = list(verify._structural(14, posets, [filter_lattice(p) for p in posets]))
+    assert len(records) == 10 * 6 + 9 * 5
+    assert all(r.status == "pass" for r in records), [
+        r.render() for r in records if r.status != "pass"
     ]
 
 
