@@ -400,7 +400,7 @@ def poset_census(poset: Poset) -> dict[str, IntPoly]:
     popcount is that value's coefficient.  The F sets count |f|, the M sets
     the indegree, the A sets the outdegree and both together the degree;
     the maximal cubes are the indegree histogram of the filters outside
-    NotMax, and the cubes follow from the indegree histogram by C(m, k).
+    NotMax, and the cube polynomial is the indegree polynomial at 1 + x.
     """
     words = array("I", poset.filter_masks())  # FILTER_ENUM_BOUND = 32 bits fit
     if sys.byteorder == "big":
@@ -428,13 +428,9 @@ def poset_census(poset: Poset) -> dict[str, IntPoly]:
     sizes = _split(_counter(held), every)
     ins = _counter(mins)
     indegree = _split(ins, every)
-    cubes = [0] * len(indegree.coeffs)
-    for m, c in enumerate(indegree.coeffs):
-        for k in range(m + 1):
-            cubes[k] += c * comb(m, k)
     polys = {
         "rank": IntPoly(sizes.coeff(n - k) for k in range(n + 1)),
-        "cube": IntPoly(cubes),
+        "cube": indegree.compose(IntPoly((1, 1))),
         "maxcube": _split(ins, every & ~not_max),
         "degree": _split(_counter(chain(mins, adds)), every),
         "indegree": indegree,

@@ -216,24 +216,15 @@ def is_cutting(host: LatticeDiagram, interval: Interval) -> bool:
     """True iff every maximal chain of the host meets the interval.
 
     Maximal chains run from the unique maximum to the unique minimum, so the
-    interval is a cutting exactly when no directed top-to-bottom path avoids
-    its vertex set.
+    interval is a cutting exactly when no top-to-bottom path avoids it.  One
+    pass down the ranks marks a vertex outside the interval reached when it
+    is the top or one of its upper covers is reached.
     """
     inside = set(host.interval_members(interval))
-    if host.top in inside or host.bottom in inside:
-        return True
-    seen = {host.top}
-    stack = [host.top]
-    while stack:
-        u = stack.pop()
-        for v in host.down_adj[u]:
-            if v in inside or v in seen:
-                continue
-            if v == host.bottom:
-                return False
-            seen.add(v)
-            stack.append(v)
-    return True
+    reached = [False] * len(host)
+    for v in reversed(host.rank_order):
+        reached[v] = v not in inside and (v == host.top or any(reached[u] for u in host.up_adj[v]))
+    return not reached[host.bottom]
 
 
 def convex_expansion(host: LatticeDiagram, interval: Interval) -> LatticeDiagram:

@@ -2,8 +2,9 @@
 
 Every check compares two independent routes to the same numbers: census
 against recurrence, recurrence against closed form, formula against
-generating function, structure against expansion, the last through
-posets of join-irreducibles (Birkhoff's theorem).  Known range errata of
+generating function, and each side of a structural split against the poset
+whose filter lattice it must be, through its poset of join-irreducibles
+(Birkhoff's theorem).  Known range errata of
 three coefficient recurrences are probed explicitly and reported as
 erratum records, which never fail a run but are always printed.
 
@@ -149,7 +150,8 @@ def run_verification(max_n: int) -> VerificationReport:
     records = [
         *_comparisons(rows, posets, diagrams, census_hi, formula_hi),
         *_series(formula_hi),
-        *_structural(min(STRUCTURAL_MAX_N, len(diagrams) - 1), posets, diagrams),
+        # the splits build lattices as large as the diagrams, so they stop where those stop
+        *_structural(min(STRUCTURAL_MAX_N, len(diagrams) - 1), posets),
         *_oracles(posets, diagrams),
         *_erratum_probes(rows, census_hi),
     ]
@@ -234,66 +236,68 @@ def _series(formula_hi: int):
     yield _record(name, f"m=0..{hi_m}", [] if ok else ["even or odd slice mismatch"])
 
 
-def _split_checks(tag, n, host, interval, cutting, direct):
-    """One split of ``direct`` = phi(n): the cutting, counts, rank split, cube identity, iso.
+def _split_checks(tag, n, host, interval, cutting, poset):
+    """One split of phi(n) = F(``poset``): the cutting, counts, rank split, cube identity, iso.
 
     ``cutting`` is what the interval should be as its own diagram: the text
-    after "matches", that diagram, and the failure detail.  Every split
-    checked here is anchored at the host's top or at its bottom, which fixes
-    the rank split.  A detail is built only for a check that fails.
+    after "matches", the poset whose filter lattice it must be, and the
+    failure detail.  Every split checked here is anchored at the host's top
+    or at its bottom, which fixes the rank split.  A detail is built only
+    for a check that fails.  If the interval is not a cutting, each line
+    that reads the expansion fails with ``convex_expansion``'s refusal.
     """
     scope = f"n={n}"
     part = interval_diagram(host, interval)
-    what, expected_part, detail = cutting
-    ok = _isomorphic(part, expected_part)
+    what, small, detail = cutting
+    ok = _certifies(part, small)
     yield _record(f"{tag}: cutting matches {what}", scope, [] if ok else [detail])
 
-    expanded = convex_expansion(host, interval)
-    ok = len(expanded) == len(host) + len(part)
-    yield _record(f"{tag}: vertex count is additive", scope, [] if ok else ["count mismatch"])
-
-    r_host = rank_polynomial(host)
-    r_part = rank_polynomial(part)
-    r_exp = rank_polynomial(expanded)
+    r_host, r_part = rank_polynomial(host), rank_polynomial(part)
     if interval.top == host.top:
-        shift = host.ranks[interval.bottom] + 1
-        expected = r_host + r_part.shift(shift)
-        label = "top-anchored"
+        label, r_split = "top-anchored", r_host + r_part.shift(host.ranks[interval.bottom] + 1)
     else:
-        expected = r_part + _X * r_host
-        label = "bottom-anchored"
-    name = f"{tag}: rank polynomial obeys the {label} expansion split"
-    yield _record(name, scope, [] if r_exp == expected else [f"{r_exp} vs {expected}"])
-
+        label, r_split = "bottom-anchored", r_part + _X * r_host
+    names = [f"{tag}: {check}" for check in (
+        "vertex count is additive",
+        f"rank polynomial obeys the {label} expansion split",
+        "cube polynomial gains (1+x) times the cutting's",
+        "expansion is isomorphic to the direct construction",
+    )]
+    try:
+        expanded = convex_expansion(host, interval)
+    except ValueError as refusal:  # the interval is not a cutting
+        yield from (_record(name, scope, [str(refusal)]) for name in names)
+        return
+    ok = len(expanded) == len(host) + len(part)
+    yield _record(names[0], scope, [] if ok else ["count mismatch"])
+    r_exp = rank_polynomial(expanded)
+    yield _record(names[1], scope, [] if r_exp == r_split else [f"{r_exp} vs {r_split}"])
     q_exp = cube_polynomial(expanded)
     expected = cube_polynomial(host) + _ONE_PLUS_X * cube_polynomial(part)
-    name = f"{tag}: cube polynomial gains (1+x) times the cutting's"
-    yield _record(name, scope, [] if q_exp == expected else [f"{q_exp} vs {expected}"])
-
-    ok = _isomorphic(expanded, direct)
-    name = f"{tag}: expansion is isomorphic to the direct construction"
-    yield _record(name, scope, [] if ok else ["no rank-preserving isomorphism found"])
+    yield _record(names[2], scope, [] if q_exp == expected else [f"{q_exp} vs {expected}"])
+    ok = _certifies(expanded, poset)
+    yield _record(names[3], scope, [] if ok else ["no rank-preserving isomorphism found"])
 
 
-def _structural(hi: int, posets, diagrams):
+def _structural(hi: int, posets):
     for n in range(5, hi + 1):
         host = filter_lattice(fence(n - 1).dual())
         interval = Interval(host.bottom, host.find_filter({1, 2, 3}))
         name = "dual-fence split: interval is a cutting"
         yield _record(name, f"n={n}", [] if is_cutting(host, interval) else ["not a cutting"])
-        fences = filter_lattice(fence(n - 4))
-        cutting = ("the short fence lattice", fences, "cutting is not the expected fence lattice")
-        yield from _split_checks("dual-fence split", n, host, interval, cutting, diagrams[n])
+        short = fence(n - 4)
+        cutting = ("the short fence lattice", short, "cutting is not the expected fence lattice")
+        yield from _split_checks("dual-fence split", n, host, interval, cutting, posets[n])
     for n in range(6, hi + 1):
         host, interval = deletion_cutting(posets[n], n)
-        cutting = ("the smaller cube", diagrams[n - 2], "cutting is not the expected smaller cube")
-        yield from _split_checks("last-element split", n, host, interval, cutting, diagrams[n])
+        cutting = ("the smaller cube", posets[n - 2], "cutting is not the expected smaller cube")
+        yield from _split_checks("last-element split", n, host, interval, cutting, posets[n])
 
 
-def _isomorphic(a, b) -> bool:
-    """True iff both diagrams certify as distributive, with isomorphic join-irreducibles."""
-    ja, jb = join_irreducibles(a), join_irreducibles(b)
-    return ja is not None and jb is not None and ja.is_isomorphic(jb)
+def _certifies(diagram, poset) -> bool:
+    """True iff the diagram certifies as distributive with join-irreducibles ≅ ``poset``."""
+    j = join_irreducibles(diagram)
+    return j is not None and j.is_isomorphic(poset)
 
 
 def _oracles(posets, diagrams):

@@ -5,8 +5,10 @@ import dataclasses
 from math import comb
 
 import pytest
+from click.testing import CliRunner
 
 from flcubes import census, formulas, genfun, lattice, verify
+from flcubes.cli import main
 from flcubes.lattice import Interval, is_cutting
 from flcubes.polynomials import IntPoly
 from flcubes.verify import run_verification
@@ -193,8 +195,8 @@ def test_a_wrong_per_bottom_cube_row_fails_every_line_that_reads_the_diagram_cub
     fresh_memos, monkeypatch
 ):
     # every bottom of a filter lattice passes the whole-cover-set test, so
-    # each bottom with a cover adds one 1-cube too many; the native census,
-    # which also reads comb, is left alone
+    # each bottom with a cover adds one 1-cube too many; comb is faulted only
+    # inside the scan, and the native census reads its cubes off indegree(1+x)
     real = census.cube_polynomial
 
     def cube_polynomial(diagram):
@@ -256,3 +258,56 @@ def test_expanding_along_another_cutting_fails_the_isomorphism_lines(fresh_memos
     assert by_name["dual-fence split: expansion is isomorphic to the direct construction"] == [
         "fail", "pass", "fail", "fail", "fail"
     ]
+
+
+def test_join_irreducibles_returning_the_dual_fails_every_split_whose_poset_is_not_self_dual(
+    fresh_memos, monkeypatch
+):
+    # each side of a split is certified against its own poset, so a J that
+    # comes back turned upside down fails wherever that poset is not
+    # self-dual: the S-fences from 4 elements on, and the odd fences from 3
+    real = lattice.join_irreducibles
+    monkeypatch.setattr(verify, "join_irreducibles", lambda d: real(d).dual())
+    records = run_verification(12).records
+    assert {r.name for r in records if r.status == "erratum"} == {
+        CUBE_ERRATUM, INDEGREE_ERRATUM, DEGREE_ERRATUM,
+    }
+    dual_fence, last_element = "dual-fence split: ", "last-element split: "
+    iso = "expansion is isomorphic to the direct construction"
+    assert sorted((r.name, r.scope) for r in records if r.status == "fail") == sorted(
+        [(dual_fence + iso, f"n={n}") for n in range(5, 10)]
+        + [(dual_fence + "cutting matches the short fence lattice", f"n={n}") for n in (7, 9)]
+        + [(last_element + "cutting matches the smaller cube", f"n={n}") for n in range(6, 10)]
+        + [(last_element + iso, f"n={n}") for n in range(6, 10)]
+    )
+
+
+def test_a_split_along_a_non_cutting_fails_the_lines_that_read_the_expansion(monkeypatch):
+    # one vertex of a rank that holds several is no cutting, so
+    # convex_expansion refuses it; the run must report that, not raise it
+    def mid_rank_vertex(poset, x):
+        host, _ = lattice.deletion_cutting(poset, x)
+        v = next(v for v in host.rank_order if host.ranks[v] == host.height // 2)
+        assert not is_cutting(host, Interval(v, v))
+        return host, Interval(v, v)
+
+    monkeypatch.setattr(verify, "deletion_cutting", mid_rank_vertex)
+    refusal = "interval is not a cutting; expansion would not be graded"
+    expected = []
+    for n in range(6, 10):
+        expected.append(("cutting matches the smaller cube", f"n={n}",
+                         "cutting is not the expected smaller cube"))
+        expected.extend((check, f"n={n}", refusal) for check in (
+            "vertex count is additive",
+            "rank polynomial obeys the bottom-anchored expansion split",
+            "cube polynomial gains (1+x) times the cutting's",
+            "expansion is isomorphic to the direct construction",
+        ))
+    records = run_verification(9).records
+    assert [
+        (r.name.removeprefix("last-element split: "), r.scope, r.detail)
+        for r in records if r.status == "fail"
+    ] == expected
+    result = CliRunner().invoke(main, ["verify", "9"])
+    assert result.exit_code == 1, result.exception
+    assert result.output.endswith("99 checks: 76 passed, 20 failed, 3 errata\n")

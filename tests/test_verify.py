@@ -1,7 +1,6 @@
 import pytest
 
 from flcubes import census, tables, verify
-from flcubes.lattice import filter_lattice
 from flcubes.polynomials import IntPoly
 from flcubes.poset import sfence
 from flcubes.verify import CheckRecord, VerificationReport, run_verification
@@ -116,7 +115,7 @@ def test_structural_checks_pass_past_the_reported_range():
     # S-fence 12 has 288 vertices and S-fence 14 has 754; no structural
     # check has a vertex bound of its own
     posets = [sfence(n) for n in range(15)]
-    records = list(verify._structural(14, posets, [filter_lattice(p) for p in posets]))
+    records = list(verify._structural(14, posets))
     assert len(records) == 10 * 6 + 9 * 5
     assert all(r.status == "pass" for r in records), [
         r.render() for r in records if r.status != "pass"
