@@ -43,9 +43,10 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import Counter
-from itertools import chain
+from functools import reduce
+from itertools import chain, compress, repeat
 from math import comb
-from operator import itemgetter
+from operator import add, itemgetter, not_, or_
 from typing import Iterable
 from weakref import WeakKeyDictionary
 
@@ -268,13 +269,11 @@ def cube_polynomial(diagram: LatticeDiagram) -> IntPoly:
     the row C(m, k); only the other bottoms' tables are counted top by top.
     """
     tops = _scan(diagram)
-    whole: Counter[int] = Counter()  # bottoms whose whole cover set passed, per m
+    passed = list(map(isinstance, tops, repeat(int)))
+    whole = Counter(map(len, compress(diagram.up_adj, passed)))  # bottoms that passed, per m
     counts: Counter[int] = Counter()
-    for ups, found in zip(diagram.up_adj, tops):
-        if isinstance(found, int):
-            whole[len(ups)] += 1
-        else:
-            counts.update(found.values())
+    for found in compress(tops, map(not_, passed)):
+        counts.update(found.values())
     for m, c in whole.items():
         for k in range(m + 1):
             counts[k] += c * comb(m, k)
@@ -296,24 +295,27 @@ def maximal_cube_polynomial(diagram: LatticeDiagram) -> IntPoly:
     bottom side is tested.  That is one table test per vertex covered by a,
     once per bottom.  Every other bottom tests each cube in its table: the
     top side is one disjointness test against the table, and the bottom
-    side runs only when it passes.  For b covered by a <= j, [b, j] is a
-    cube iff j lies below the one top t stored for b, as b <= j already
-    holds (one AND of j's up-set and t's down-set), or iff j is in b's
-    table when b keeps a dict.
+    side runs only when it passes.  For b covered by a <= j, b <= j already
+    holds, so [b, j] is a cube iff j lies below the one top t stored for b,
+    or below an entry of b's table when b keeps a dict, an interval inside
+    a Boolean one being Boolean.  So the down-sets of those tops are ORed
+    into one mask per vertex before the pass, and every test, of either
+    kind of bottom, is one inline AND of that mask with j's up-set.
     """
     tops = _scan(diagram)
     up_adj, down_adj = diagram.up_adj, diagram.down_adj
     upm, dnm = diagram.up_masks, diagram.down_masks
-
-    def cube_below(b: int, j: int) -> bool:
-        t = tops[b]
-        return bool(upm[j] & dnm[t]) if isinstance(t, int) else j in t
-
+    # per vertex b, the down-sets of its cube tops, ORed: for b <= j, [b, j]
+    # is a cube iff j lies below one of them, iff upm[j] meets reach[b]
+    reach = [
+        dnm[t] if isinstance(t, int) else reduce(or_, map(dnm.__getitem__, t), 0) for t in tops
+    ]
     counts: Counter[int] = Counter()
     for ups, downs, found in zip(up_adj, down_adj, tops):
         if isinstance(found, int):
+            up_j = upm[found]
             for b in downs:
-                if cube_below(b, found):
+                if up_j & reach[b]:
                     break
             else:
                 counts[len(ups)] += 1
@@ -321,15 +323,14 @@ def maximal_cube_polynomial(diagram: LatticeDiagram) -> IntPoly:
         counts.update(
             k
             for j, k in found.items()
-            if found.keys().isdisjoint(up_adj[j])
-            and not any(cube_below(b, j) for b in downs)
+            if found.keys().isdisjoint(up_adj[j]) and not any(upm[j] & reach[b] for b in downs)
         )
     return _poly_of(counts)
 
 
 def degree_polynomial(diagram: LatticeDiagram) -> IntPoly:
     """Coefficient k counts vertices of undirected degree k."""
-    return _histogram(len(up) + len(down) for up, down in zip(diagram.up_adj, diagram.down_adj))
+    return _histogram(map(add, map(len, diagram.up_adj), map(len, diagram.down_adj)))
 
 
 def indegree_polynomial(diagram: LatticeDiagram) -> IntPoly:

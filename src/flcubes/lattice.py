@@ -51,7 +51,7 @@ class LatticeDiagram:
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "up_adj", tuple(tuple(sorted(ups)) for ups in self.up_adj))
+        object.__setattr__(self, "up_adj", tuple(map(tuple, map(sorted, self.up_adj))))
         object.__setattr__(self, "ranks", tuple(self.ranks))
         n = len(self.vertices)
         if n == 0:
@@ -178,22 +178,31 @@ def filter_lattice(poset: Poset) -> LatticeDiagram:
 
     Vertices keep the canonical filter order.  rank(Y) = |P| - |Y|, so the
     full ground set is the minimum and the empty filter the maximum; u covers
-    v exactly when v's filter is u's filter plus one element.  Each vertex
-    is its filter's bitmask over ``poset.elements``.
+    v exactly when v's filter is u's filter plus one element, so the filters
+    covering f are f minus each of its minimal elements.  Those are the
+    elements of f above no element of f, read from four tables, one per
+    byte of the element mask: entry b of table g is the union of the strict
+    up-sets of the elements 8g + i for the bits i of b.  So a filter's
+    minimal elements cost four lookups, and the loop visits only them.  Each
+    vertex is its filter's bitmask over ``poset.elements``.
     """
     fs = poset.filters()
     index = {f: i for i, f in enumerate(fs)}
-    strict_down = poset._strict_down
+    tables = []
+    for lo in range(0, FILTER_ENUM_BOUND, 8):  # four bytes: t0..t3 below
+        table = [0]  # a byte past the last element only ever reads 0
+        for up in poset._strict_up[lo:lo + 8]:
+            table += [t | up for t in table]
+        tables.append(table)
+    t0, t1, t2, t3 = tables
     up_adj = []
     for f in fs:
         ups = []
-        m = f
-        while m:
+        m = f & ~(t0[f & 255] | t1[f >> 8 & 255] | t2[f >> 16 & 255] | t3[f >> 24])
+        while m:  # removing a minimal element of the filter yields a covering filter
             low = m & -m
             m ^= low
-            # removing a minimal element of the filter yields a covering filter
-            if not strict_down[low.bit_length() - 1] & f:
-                ups.append(index[f ^ low])
+            ups.append(index[f ^ low])
         up_adj.append(ups)
     ranks = tuple(len(poset) - f.bit_count() for f in fs)
     return LatticeDiagram(tuple(fs), up_adj, ranks, poset.elements)
@@ -303,10 +312,10 @@ def to_dot(diagram: LatticeDiagram) -> str:
     filter-built diagrams and payload ids otherwise."""
     lines = ["digraph lattice {"]
     width = None if diagram.elements is None else len(diagram.elements)
+    bits = f"0{width}b"
     for i, payload in enumerate(diagram.vertices):
-        label = str(payload) if width is None else "".join(
-            "1" if payload >> k & 1 else "0" for k in range(width)
-        )
+        # bit k is character k; the slice keeps width 0 empty, as "00b" formats 0 as "0"
+        label = str(payload) if width is None else format(payload, bits)[::-1][:width]
         lines.append(f'  n{i} [label="{label}", rank={diagram.ranks[i]}];')
     for u, downs in enumerate(diagram.down_adj):
         lines.extend(f"  n{u} -> n{v};" for v in downs)
@@ -351,7 +360,7 @@ def join_irreducibles(diagram: LatticeDiagram) -> Poset | None:
             if other & phi[j] and i != j:
                 above &= up[i]
         addable += above.bit_count()
-    if addable != len(diagram.arcs):
+    if addable != sum(map(len, diagram.up_adj)):
         return None
     # j's covers in J are the elements that the lower covers of its one lower cover drop
     vertex = {b: v for v, b in own.items()}
