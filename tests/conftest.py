@@ -80,6 +80,22 @@ def mask_of(elements, subset) -> int:
     return sum(1 << i for i, e in enumerate(elements) if e in subset)
 
 
+# chain lengths that end on, just past and well past a byte of the filter
+# masks, which the native census transposes and filter_lattice reads a
+# byte at a time
+CHAIN_SIZES = (8, 9, 16, 17, 24, 25, 32)
+
+
+def chain_beside_antichain(length: int, width: int) -> Poset:
+    """The chain 1 < 2 < ... < length beside ``width`` isolated elements after it."""
+    chain = [(i + 1, i) for i in range(1, length)]
+    return Poset(tuple(range(1, length + width + 1)), frozenset(chain))
+
+
+def chain(n: int) -> Poset:
+    return chain_beside_antichain(n, 0)
+
+
 def reduced_poset(n: int, relations: set[tuple[int, int]]) -> Poset:
     """Build a poset from arbitrary (a, b) pairs read as a > b with a > b
     numerically, so the digraph is acyclic by construction."""

@@ -13,12 +13,15 @@ from hypothesis import strategies as st
 import golden_tables
 from conftest import (
     BOWTIE,
+    CHAIN_SIZES,
     FAKE_CUBE,
     FAR_FIFTH_ATOM,
     M3,
     M3_ON_A_SQUARE,
     SPARE_VERTEX,
     TWO_SUBSETS,
+    chain,
+    chain_beside_antichain,
     graded_diagrams,
     lattice_from_covers,
     naturally_labelled_posets,
@@ -628,6 +631,22 @@ def test_degree_handshake():
         assert edges == 2 * len(d.arcs)
 
 
+def definition_degrees(d):
+    """Per vertex, the number of arcs it is an end of, read from the arc set."""
+    degree = [0] * len(d)
+    for u, v in d.arcs:
+        degree[u] += 1
+        degree[v] += 1
+    return degree
+
+
+@given(graded_diagrams())
+@example(convex_expansion(*deletion_cutting(sfence(7), 7)))
+@settings(max_examples=100, deadline=None)
+def test_degree_polynomial_matches_definition(d):
+    assert degree_polynomial(d) == histogram(definition_degrees(d))
+
+
 def test_indegree_outdegree_examples():
     assert indegree_polynomial(phi(1)) == IntPoly([1, 1])
     assert outdegree_polynomial(phi(1)) == IntPoly([1, 1])
@@ -833,11 +852,6 @@ def test_native_census_matches_diagram_census_on_every_small_poset(n, count):
         assert_native_matches_diagram(poset)
 
 
-def chain_beside_antichain(length, width):
-    chain = [(i + 1, i) for i in range(1, length)]
-    return Poset(tuple(range(1, length + width + 1)), frozenset(chain))
-
-
 @pytest.mark.parametrize("length, width, filters", [(32, 0, 33), (28, 4, 464)],
                          ids=["chain-32", "chain-28-antichain-4"])
 def test_native_census_matches_diagram_census_at_the_element_bound(length, width, filters):
@@ -887,15 +901,8 @@ def reference_census(poset):
     }
 
 
-def chain(n):
-    return chain_beside_antichain(n, 0)
-
-
 def antichain(n):
     return chain_beside_antichain(0, n)
-
-
-CHAIN_SIZES = (8, 9, 16, 17, 24, 25, 32)
 
 
 @pytest.mark.parametrize("poset", [

@@ -256,6 +256,7 @@ def test_dot_single_vertex(runner):
     result = run(runner, "dot", "0")
     assert result.exit_code == 0
     assert result.output.count("label=") == 1
+    assert 'label=""' in result.output  # the empty filter of no elements
     assert "->" not in result.output
 
 

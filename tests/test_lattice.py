@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 
 from conftest import (
     BOWTIE,
+    CHAIN_SIZES,
     FAKE_CUBE,
     M3,
     M3_ON_A_SQUARE,
     SPARE_VERTEX,
     TWO_SUBSETS,
+    chain,
+    chain_beside_antichain,
     graded_diagrams,
     lattice_from_covers,
     mask_of,
@@ -137,6 +140,51 @@ def test_filter_lattice_matches_definition_on_fences():
     for build in (fence, sfence, lambda n: fence(n).dual()):
         for n in range(10):
             assert_matches_definition(build(n))
+
+
+# filter_lattice reads a filter's minimal elements from one table per byte
+# of its mask; the posets below put elements, and minimal ones, in every
+# byte, and are too large for definition_filters, so the enumeration's own
+# filters stand in for it
+
+
+def assert_covers_match_definition(p):
+    assert diagram_covers(filter_lattice(p)) == definition_covers(p.filters())
+
+
+@pytest.mark.parametrize("n", CHAIN_SIZES)
+def test_filter_lattice_covers_match_definition_on_chains_across_bytes(n):
+    # each element is the one minimal element of some filter, whose other
+    # elements lie in later bytes of the mask, and in the dual in earlier ones
+    assert_covers_match_definition(chain(n))
+    assert_covers_match_definition(chain(n).dual())
+
+
+def test_filter_lattice_covers_match_definition_beside_an_antichain():
+    # four isolated elements in the mask's last byte, each minimal in every
+    # filter that holds it
+    assert_covers_match_definition(chain_beside_antichain(28, 4))
+
+
+@st.composite
+def two_chain_posets(draw):
+    """Posets of 9 to 32 elements covered by two chains, with random
+    relations across them, so with at most 17^2 = 289 filters."""
+    n = draw(st.integers(9, 32))
+    side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    relations = set()
+    for s in (False, True):
+        run = [e for e in range(1, n + 1) if side[e - 1] == s]
+        relations |= set(zip(run[1:], run))
+    across = st.tuples(st.integers(2, n), st.integers(1, n - 1)).filter(lambda p: p[0] > p[1])
+    return reduced_poset(n, relations | draw(st.sets(across, max_size=n)))
+
+
+@given(two_chain_posets())
+@settings(max_examples=40, deadline=None)
+def test_filter_lattice_covers_match_definition_on_random_wide_masks(p):
+    assert_covers_match_definition(p)
+    assert_covers_match_definition(p.dual())
 
 
 # -- the order masks against the definition --------------------------------------

@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from conftest import mask_of, members, naturally_labelled_posets, posets
+from conftest import chain, mask_of, members, naturally_labelled_posets, posets
 from flcubes import poset as poset_module
 from flcubes import tables
 from flcubes.census import poset_census
@@ -237,10 +237,6 @@ def test_the_census_cap_is_the_largest_sfence_under_the_count_bound():
     assert sfence(tables.CENSUS_MAX_N).count_filters() <= poset_module.FILTER_COUNT_BOUND
     with pytest.raises(CapacityError, match="^filter count exceeds 200000$"):
         sfence(tables.CENSUS_MAX_N + 1).count_filters()
-
-
-def chain(n):
-    return Poset(tuple(range(1, n + 1)), frozenset((i + 1, i) for i in range(1, n)))
 
 
 def test_count_filters_shares_the_enumeration_bound():
