@@ -1,7 +1,9 @@
 """Closed forms and recurrences for the counting polynomials of S-fence
 filter lattices: Fibonacci and Padovan numbers, trinomial coefficients, the
 polynomial recurrences, and the coefficient recurrences, a separate route
-that steps plain coefficient lists by each recurrence's statement as data.
+that steps plain coefficient lists by each recurrence's statement as data
+from typed seed rows.  Like the bases, the seeds are data, so no route here
+reads the census it is checked against.
 
 The rank closed form is written through one alternating trinomial sum,
 P_a = sum_i (-1)^i C(a - i, i) x^(2i) (1 + x + x^2)^(a - 2i), the y^a
@@ -29,14 +31,13 @@ between coefficients.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from functools import cache, lru_cache
 from math import comb
 from operator import add, sub
 from typing import NamedTuple
 
-from .census import poset_census
 from .polynomials import IntPoly
-from .poset import sfence
 
 
 def binom(n: int, k: int) -> int:
@@ -272,33 +273,37 @@ def poly_by_recurrence(family: str, n: int) -> IntPoly:
 
 class CoeffRecurrence(NamedTuple):
     """A coefficient recurrence as stated, ``row(n,k) = row(n-i,k-j) +/- ...``,
-    and the consecutive indices of the census rows it starts from, as many as
-    it reads back; it is validated from the next index on.  A ``half`` series
-    recurs on m, and its row m is the census rank row 2m + half.
+    and the rows it starts from: ``seeds`` are rows ``start``, ``start + 1``,
+    ..., as many as it reads back, and it is validated from the next index on.
+    A ``half`` series recurs on m, and its row m is the rank row 2m + half.
     """
 
     statement: str
-    seeds: tuple[int, ...]
+    start: int
+    seeds: tuple[tuple[int, ...], ...]
     half: int | None = None
 
 
 _HALF_INDEX = "r(m,k) = r(m-1,k) + r(m-1,k-1) + r(m-1,k-2) - r(m-2,k-2)"
 
 COEFF_RECURRENCES = {
-    "cube": CoeffRecurrence("q(n,k) = q(n-1,k) + q(n-2,k) + q(n-2,k-1)", (3, 4)),
-    "maxcube": CoeffRecurrence("h(n,k) = h(n-2,k-1) + h(n-3,k-1)", (3, 4, 5)),
-    "degree": CoeffRecurrence(
-        "d(n,k) = d(n-2,k-1) + d(n-1,k-1) - d(n-3,k-2) + d(n-3,k-1)", (3, 4, 5)
+    "cube": CoeffRecurrence("q(n,k) = q(n-1,k) + q(n-2,k) + q(n-2,k-1)", 3, ((4, 3), (6, 6, 1))),
+    "maxcube": CoeffRecurrence(
+        "h(n,k) = h(n-2,k-1) + h(n-3,k-1)", 3, ((0, 3), (0, 2, 1), (0, 0, 4))
     ),
-    "indegree": CoeffRecurrence("d-(n,k) = d-(n-1,k) + d-(n-2,k-1)", (3, 4)),
-    "rank-even": CoeffRecurrence(_HALF_INDEX, (2, 3), half=0),
-    "rank-odd": CoeffRecurrence(_HALF_INDEX, (0, 1), half=1),
+    "degree": CoeffRecurrence(
+        "d(n,k) = d(n-2,k-1) + d(n-1,k-1) - d(n-3,k-2) + d(n-3,k-1)",
+        3, ((0, 2, 2), (0, 1, 4, 1), (0, 0, 5, 4, 1)),
+    ),
+    "indegree": CoeffRecurrence("d-(n,k) = d-(n-1,k) + d-(n-2,k-1)", 3, ((1, 3), (1, 4, 1))),
+    "rank-even": CoeffRecurrence(_HALF_INDEX, 2, ((1, 1, 1, 2, 1), (1, 2, 3, 3, 3, 3, 1)), half=0),
+    "rank-odd": CoeffRecurrence(_HALF_INDEX, 0, ((1, 1), (1, 1, 1, 1)), half=1),
 }
 
-# Lowest index at which each coefficient recurrence agrees with the census;
-# below it the recurrence is refused (three of them fail on their stated
-# start, see the verification suite's erratum probes).
-VALIDATED_FROM = {f: rec.seeds[-1] + 1 for f, rec in COEFF_RECURRENCES.items()}
+# Lowest index at which each coefficient recurrence agrees with the census,
+# the first after its seed rows; below it the recurrence is refused (three of
+# them fail on their stated start, see the verification suite's erratum probes).
+VALIDATED_FROM = {f: rec.start + len(rec.seeds) for f, rec in COEFF_RECURRENCES.items()}
 
 
 def polynomial_row(family: str) -> tuple[str, int, int]:
@@ -330,7 +335,7 @@ def stated_step(terms: list[tuple[int, int, int]], rows) -> list[int]:
 
 # family -> index of the first kept coefficient row, the kept rows, and the
 # terms of the statement they are stepped by
-_COEFF_ROWS: dict[str, tuple[int, list[list[int]], list[tuple[int, int, int]]]] = {}
+_COEFF_ROWS: dict[str, tuple[int, list[Sequence[int]], list[tuple[int, int, int]]]] = {}
 
 
 def coeff_by_recurrence(family: str, n: int, k: int) -> int:
@@ -343,35 +348,22 @@ def coeff_by_recurrence(family: str, n: int, k: int) -> int:
     A kept row at or past the validated start is returned before any other
     work; kept rows below that start (seeds) are still refused.
     """
-    start, rows, _ = _COEFF_ROWS.get(family) or (n + 1, (), ())
+    start, rows, terms = _COEFF_ROWS.get(family) or (n + 1, [], [])
     if not (start <= n < start + len(rows) and n >= VALIDATED_FROM[family]):
-        start, rows = _step_coeff_rows(family, n)
+        if family not in VALIDATED_FROM:
+            raise ValueError(f"unknown family {family!r}")
+        lo = VALIDATED_FROM[family]
+        if n < lo:
+            raise ValueError(
+                f"{family} coefficient recurrence is validated for n >= {lo}, got {n}"
+            )
+        if n < start:
+            rec = COEFF_RECURRENCES[family]
+            start, rows, terms = rec.start, list(rec.seeds), stated_terms(rec.statement)
+        while start + len(rows) <= n:
+            rows.append(stated_step(terms, rows))
+            del rows[0]
+            start += 1
+        _COEFF_ROWS[family] = (start, rows, terms)
     row = rows[n - start]
     return row[k] if 0 <= k < len(row) else 0
-
-
-def _step_coeff_rows(family: str, n: int) -> tuple[int, list[list[int]]]:
-    """Check ``family`` and n, and step its kept rows until they hold row n.
-
-    Kept apart from ``coeff_by_recurrence`` so that a lookup answered from
-    the kept rows pays for none of this: the seeds' list comprehension reads
-    locals of its function, which makes them cells created on every call,
-    and merged into the lookup that cost it about 1.5x on Python 3.11.
-    """
-    if family not in VALIDATED_FROM:
-        raise ValueError(f"unknown family {family!r}")
-    lo = VALIDATED_FROM[family]
-    if n < lo:
-        raise ValueError(f"{family} coefficient recurrence is validated for n >= {lo}, got {n}")
-    start, rows, terms = _COEFF_ROWS.get(family) or (n + 1, [], [])
-    rec = COEFF_RECURRENCES[family]
-    if n < start:
-        key, size, shift = polynomial_row(family)
-        start, terms = rec.seeds[0], stated_terms(rec.statement)
-        rows = [list(poset_census(sfence(size * i + shift))[key].coeffs) for i in rec.seeds]
-    while start + len(rows) <= n:
-        rows.append(stated_step(terms, rows))
-        del rows[0]
-        start += 1
-    _COEFF_ROWS[family] = (start, rows, terms)
-    return start, rows

@@ -319,8 +319,8 @@ def to_dot(diagram: LatticeDiagram) -> str:
         lines.append(f'  n{i} [label="{label}", rank={diagram.ranks[i]}];')
     for u, downs in enumerate(diagram.down_adj):
         lines.extend(f"  n{u} -> n{v};" for v in downs)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.append("}\n")
+    return "\n".join(lines)
 
 
 # -- distributivity certificate --------------------------------------------------

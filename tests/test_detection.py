@@ -191,6 +191,22 @@ def test_a_wrong_cube_statement_fails_its_coefficient_line_and_its_probe(
     }
 
 
+@pytest.mark.parametrize(
+    "family, seeds",
+    [("cube", ((4, 3), (6, 6, 2))), ("rank-odd", ((1, 1), (1, 1, 2, 1)))],
+)
+def test_a_wrong_seed_row_fails_only_its_coefficient_line(fresh_memos, monkeypatch, family, seeds):
+    # one seed entry off by one; the erratum probes step census rows, not seeds
+    rec = formulas.COEFF_RECURRENCES[family]
+    monkeypatch.setitem(formulas.COEFF_RECURRENCES, family, rec._replace(seeds=seeds))
+    assert _non_passing() == {
+        (f"{family}: coefficient recurrence vs polynomial recurrence", "fail"),
+        (CUBE_ERRATUM, "erratum"),
+        (INDEGREE_ERRATUM, "erratum"),
+        (DEGREE_ERRATUM, "erratum"),
+    }
+
+
 def test_a_wrong_per_bottom_cube_row_fails_every_line_that_reads_the_diagram_cubes(
     fresh_memos, monkeypatch
 ):

@@ -17,6 +17,7 @@ from flcubes.formulas import (
     fib,
     h_coeff,
     padovan133,
+    polynomial_row,
     q_coeff,
     r_coeff,
     trinomial,
@@ -391,12 +392,23 @@ def test_coeff_recurrence_range_errors():
         coeff_by_recurrence("nonsense", 9, 0)
 
 
+def test_coeff_recurrence_seeds_are_the_census_rows_before_its_validated_start():
+    assert VALIDATED_FROM == {
+        "cube": 5, "maxcube": 6, "degree": 6, "indegree": 5, "rank-even": 4, "rank-odd": 2
+    }
+    for family, rec in COEFF_RECURRENCES.items():
+        f, size, shift = polynomial_row(family)
+        for n, seed in enumerate(rec.seeds, rec.start):
+            assert seed == poset_census(sfence(size * n + shift))[f].coeffs, (family, n)
+
+
 def test_coeff_recurrence_refuses_the_seed_rows_it_keeps():
     # after the first validated row the kept rows still reach back to seeds,
     # which stay refused with the same message
     for family, lo in VALIDATED_FROM.items():
         coeff_by_recurrence(family, lo, 0)
-        for n in COEFF_RECURRENCES[family].seeds:
+        rec = COEFF_RECURRENCES[family]
+        for n in range(rec.start, rec.start + len(rec.seeds)):
             with pytest.raises(ValueError, match=f"^{family} coefficient recurrence is "
                                f"validated for n >= {lo}, got {n}$"):
                 coeff_by_recurrence(family, n, 0)
