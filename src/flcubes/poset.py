@@ -201,17 +201,45 @@ class Poset:
         many masks.  A completed enumeration records its count on the poset
         for :meth:`count_filters`.
         """
+        masks = self._kept_filter_masks((1 << len(self.elements)) - 1)
+        object.__setattr__(self, "_filter_count", len(masks))
+        return masks
+
+    def _kept_filter_masks(self, keep: int) -> list[int]:
+        """The filter masks of the order induced on the positions in ``keep``.
+
+        The one enumeration loop.  ``_top_down`` restricted to ``keep`` is a
+        linear extension of the induced order, and the kept elements above
+        e are ``_strict_up[e] & keep``, so the top-down pass restricted to
+        ``keep`` lists exactly the induced filters, with the same bounds.
+        """
         if len(self.elements) > FILTER_ENUM_BOUND:
             raise _too_many_elements(len(self.elements))
         up = self._strict_up
         masks = [0]
         for e in self._top_down:
-            above, bit = up[e], 1 << e
+            if not keep >> e & 1:
+                continue
+            above, bit = up[e] & keep, 1 << e
             masks += [m | bit for m in masks if m & above == above]
             if len(masks) > FILTER_COUNT_BOUND:
                 raise CapacityError(f"filter count exceeds {FILTER_COUNT_BOUND}")
-        object.__setattr__(self, "_filter_count", len(masks))
         return masks
+
+    def deletion_counts(self, x: int) -> tuple[int, int]:
+        """The filter counts of ``remove(x)`` and ``star_remove(x)``.
+
+        Each is enumerated inside this poset over the positions it keeps, so
+        neither subposet is built, and nothing is recorded on this poset.
+        The bounds are this poset's: a ground set past ``FILTER_ENUM_BOUND``
+        is refused even though each side has fewer elements.
+        """
+        if x not in self._pos:
+            raise KeyError(x)
+        p = self._pos[x]
+        rest = ((1 << len(self.elements)) - 1) & ~(1 << p)
+        apart = rest & ~(self._strict_up[p] | self._strict_down[p])
+        return len(self._kept_filter_masks(rest)), len(self._kept_filter_masks(apart))
 
     def count_filters(self) -> int:
         """Number of filters, by :meth:`filter_masks` with the same bounds.
