@@ -1,12 +1,28 @@
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import strategies as st
 
 from flcubes.lattice import LatticeDiagram
 from flcubes.poset import Poset
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+
+def pytest_runtest_setup(item):
+    """Fail a test that carries a marker ``markers`` does not register.
+
+    ``--strict-markers`` in ``addopts`` does not reach pytest 9's marker
+    check, which then only warns, so this holds strict markers on every
+    supported pytest without relying on ``filterwarnings = ["error"]``.
+    """
+    # registered lines read "name: help" or "name(args): help"
+    lines = item.config.getini("markers")
+    registered = {line.split(":")[0].split("(")[0].strip() for line in lines}
+    unknown = sorted({m.name for m in item.iter_markers()} - registered)
+    if unknown:
+        pytest.fail(f"unregistered marker {unknown[0]!r}; register it in `markers`", pytrace=False)
 
 
 def lattice_from_covers(ranks, covers) -> LatticeDiagram:

@@ -2,6 +2,7 @@
 of them is wrong, and only the lines that read the faulty route may fail."""
 
 import dataclasses
+import re
 from math import comb
 
 import pytest
@@ -11,6 +12,7 @@ from flcubes import census, formulas, genfun, lattice, verify
 from flcubes.cli import main
 from flcubes.lattice import Interval, is_cutting
 from flcubes.polynomials import IntPoly
+from flcubes.poset import Poset
 from flcubes.verify import run_verification
 
 CUBE_ERRATUM = "cube coefficient recurrence q(n,k) = q(n-1,k) + q(n-2,k) + q(n-2,k-1)"
@@ -327,3 +329,25 @@ def test_a_split_along_a_non_cutting_fails_the_lines_that_read_the_expansion(mon
     result = CliRunner().invoke(main, ["verify", "9"])
     assert result.exit_code == 1, result.exception
     assert result.output.endswith("99 checks: 76 passed, 20 failed, 3 errata\n")
+
+
+def test_a_wrong_deletion_count_fails_only_the_deletion_split_line(fresh_memos, monkeypatch):
+    # one filter too many on the star side of element 3 of every poset; no
+    # other line reads deletion_counts
+    real = Poset.deletion_counts
+
+    def one_too_many_apart_from_3(poset, x):
+        rest, apart = real(poset, x)
+        return rest, apart + (x == 3)
+
+    monkeypatch.setattr(Poset, "deletion_counts", one_too_many_apart_from_3)
+    split = "filter counts split under element deletion"
+    records = run_verification(12).records
+    assert {(r.name, r.status) for r in records if r.status != "pass"} == {
+        (split, "fail"),
+        (CUBE_ERRATUM, "erratum"),
+        (INDEGREE_ERRATUM, "erratum"),
+        (DEGREE_ERRATUM, "erratum"),
+    }
+    (detail,) = (r.detail for r in records if r.name == split)
+    assert re.fullmatch(r"element 3 of a \d+-element poset: \d+ != \d+", detail), detail

@@ -1,9 +1,17 @@
+import re
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import chain, mask_of, members, naturally_labelled_posets, posets
+from conftest import (
+    chain,
+    chain_beside_antichain,
+    mask_of,
+    members,
+    naturally_labelled_posets,
+    posets,
+)
 from flcubes import poset as poset_module
 from flcubes import tables
 from flcubes.census import poset_census
@@ -121,6 +129,8 @@ def test_remove_unknown_element():
         sfence(3).remove(9)
     with pytest.raises(KeyError):
         sfence(3).star_remove(9)
+    with pytest.raises(KeyError):
+        sfence(3).deletion_counts(9)
 
 
 def test_star_remove_examples():
@@ -293,14 +303,73 @@ def test_every_enumerated_set_is_a_filter(p):
         assert is_upward_closed(p, members(p.elements, f))
 
 
+# -- the deletion split -----------------------------------------------------------
+
+
+def assert_deletion_split(p):
+    # remove and star_remove build each side as a poset of its own, which
+    # deletion_counts counts inside p
+    for x in p.elements:
+        sides = p.remove(x).count_filters(), p.star_remove(x).count_filters()
+        assert p.deletion_counts(x) == sides, (p, x)
+        assert p.count_filters() == sum(sides), (p, x)
+
+
 @given(posets(max_size=7))
 @settings(max_examples=60)
 def test_deletion_splits_filter_counts(p):
-    for x in p.elements:
-        assert (
-            p.count_filters()
-            == p.remove(x).count_filters() + p.star_remove(x).count_filters()
-        )
+    assert_deletion_split(p)
+
+
+def test_deletion_counts_match_the_subposets_on_every_small_poset():
+    for n in range(7):
+        for p in naturally_labelled_posets(n):
+            assert_deletion_split(p)
+
+
+@pytest.mark.parametrize("build", [fence, sfence])
+def test_deletion_counts_match_the_subposets_on_fences_and_their_duals(build):
+    for n in range(13):
+        assert_deletion_split(build(n))
+        assert_deletion_split(build(n).dual())
+
+
+@pytest.mark.parametrize(
+    "p",
+    [chain(n) for n in range(17, 33)]
+    + [chain_beside_antichain(9, 8), chain_beside_antichain(28, 4)],
+    ids=lambda p: f"{len(p)} elements, {len(p.covers)} covers",
+)
+def test_deletion_counts_match_the_subposets_across_every_mask_byte(p):
+    # the keep masks of the last elements reach the second, third and
+    # fourth byte; the antichains cross a byte boundary and end the mask
+    assert_deletion_split(p)
+    assert_deletion_split(p.dual())
+
+
+def test_deletion_counts_record_no_count_on_the_poset():
+    cold = sfence(9)
+    cold.deletion_counts(5)
+    assert cold._filter_count is None
+    warm = sfence(9)
+    total = warm.count_filters()
+    warm.deletion_counts(5)
+    assert warm._filter_count == total
+
+
+@pytest.mark.parametrize(
+    "p",
+    [chain(33), Poset(tuple(range(1, 20)), frozenset())],
+    ids=["33-element chain", "19-element antichain"],
+)
+def test_deletion_counts_share_the_enumeration_bounds(p):
+    # P - x of the 19-element antichain has 2^18 = 262 144 filters, past the
+    # 200 000 bound; the 33-element ground set is refused before counting
+    with pytest.raises(CapacityError) as refused:
+        p.filter_masks()
+    for x in (p.elements[0], p.elements[-1]):
+        with pytest.raises(CapacityError, match=f"^{re.escape(str(refused.value))}$"):
+            p.deletion_counts(x)
 
 
 # -- text format ----------------------------------------------------------------
