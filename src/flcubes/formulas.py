@@ -47,7 +47,6 @@ def binom(n: int, k: int) -> int:
     return comb(n, k)
 
 
-@cache
 def fib(n: int) -> int:
     """Fibonacci numbers with F(0) = 0, F(1) = 1."""
     if n < 0:
@@ -58,7 +57,6 @@ def fib(n: int) -> int:
     return a
 
 
-@cache
 def padovan133(n: int) -> int:
     """(1,3,3)-Padovan numbers: p0 = 1, p1 = 3, p2 = 3, p(n) = p(n-2) + p(n-3)."""
     if n < 0:

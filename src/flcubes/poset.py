@@ -96,7 +96,6 @@ class Poset:
         object.__setattr__(self, "_strict_up", up)
         object.__setattr__(self, "_top_down", top_down)
         object.__setattr__(self, "_strict_down", _transpose(up))
-        object.__setattr__(self, "_filter_count", None)  # recorded by filter_masks
         self._check_reduced()
 
     # -- derived structure ------------------------------------------------
@@ -143,19 +142,19 @@ class Poset:
         New cover pairs can appear where x was an intermediate element; the
         induced order is recomputed and reduced.
         """
-        if x not in self._pos:
-            raise KeyError(x)
-        keep = ((1 << len(self.elements)) - 1) & ~(1 << self._pos[x])
-        return self._induced(keep)
+        return self._induced(self._deletion_keeps(x)[0])
 
     def star_remove(self, x: int) -> "Poset":
         """Induced subposet on the elements incomparable to x."""
+        return self._induced(self._deletion_keeps(x)[1])
+
+    def _deletion_keeps(self, x: int) -> tuple[int, int]:
+        """The keep masks of P - x and P -* x; raises KeyError for an unknown x."""
         if x not in self._pos:
             raise KeyError(x)
         p = self._pos[x]
-        drop = self._strict_up[p] | self._strict_down[p] | (1 << p)
-        keep = ((1 << len(self.elements)) - 1) & ~drop
-        return self._induced(keep)
+        rest = ((1 << len(self.elements)) - 1) & ~(1 << p)
+        return rest, rest & ~(self._strict_up[p] | self._strict_down[p])
 
     def _induced(self, keep: int) -> "Poset":
         up = self._strict_up
@@ -198,12 +197,9 @@ class Poset:
         elements are decided by the number of elements above them.  The
         list only grows, so a count past ``FILTER_COUNT_BOUND`` stops the
         enumeration with :class:`CapacityError` after at most twice that
-        many masks.  A completed enumeration records its count on the poset
-        for :meth:`count_filters`.
+        many masks.
         """
-        masks = self._kept_filter_masks((1 << len(self.elements)) - 1)
-        object.__setattr__(self, "_filter_count", len(masks))
-        return masks
+        return self._kept_filter_masks((1 << len(self.elements)) - 1)
 
     def _kept_filter_masks(self, keep: int) -> list[int]:
         """The filter masks of the order induced on the positions in ``keep``.
@@ -230,30 +226,16 @@ class Poset:
         """The filter counts of ``remove(x)`` and ``star_remove(x)``.
 
         Each is enumerated inside this poset over the positions it keeps, so
-        neither subposet is built, and nothing is recorded on this poset.
-        The bounds are this poset's: a ground set past ``FILTER_ENUM_BOUND``
-        is refused even though each side has fewer elements.
+        neither subposet is built.  The bounds are this poset's: a ground set
+        past ``FILTER_ENUM_BOUND`` is refused even though each side has
+        fewer elements.
         """
-        if x not in self._pos:
-            raise KeyError(x)
-        p = self._pos[x]
-        rest = ((1 << len(self.elements)) - 1) & ~(1 << p)
-        apart = rest & ~(self._strict_up[p] | self._strict_down[p])
+        rest, apart = self._deletion_keeps(x)
         return len(self._kept_filter_masks(rest)), len(self._kept_filter_masks(apart))
 
     def count_filters(self) -> int:
-        """Number of filters, by :meth:`filter_masks` with the same bounds.
-
-        The memo is ``_filter_count``, the count the last completed
-        enumeration of this poset recorded, kept as long as the poset lives,
-        so counting a poset whose filters were already listed, as ``verify``
-        does after the census, costs nothing; the masks themselves are not
-        kept.  Until an enumeration completes, each call enumerates, so a
-        poset past a bound raises on every call.
-        """
-        if self._filter_count is None:
-            self.filter_masks()
-        return self._filter_count
+        """Number of filters, enumerated by :meth:`filter_masks` with the same bounds."""
+        return len(self.filter_masks())
 
     # -- isomorphism -------------------------------------------------------------
 

@@ -235,6 +235,30 @@ def test_a_wrong_per_bottom_cube_row_fails_every_line_that_reads_the_diagram_cub
     }
 
 
+def test_a_wrong_census_rank_row_fails_the_vertex_count_lines(fresh_memos, monkeypatch):
+    # the vertex count is read off the census's rank row at x = 1, so one
+    # rank-1 filter too many for the 7-element poset reaches both lines that
+    # read the count, beside the two rank lines
+    real = verify.poset_census
+
+    def census_with_one_more_rank_1_filter(poset):
+        rows = real(poset)
+        if len(poset) == 7:
+            rows = {**rows, "rank": rows["rank"] + IntPoly((0, 1))}
+        return rows
+
+    monkeypatch.setattr(verify, "poset_census", census_with_one_more_rank_1_filter)
+    assert _non_passing() == {
+        ("rank: census vs recurrence", "fail"),
+        ("rank: census vs closed form", "fail"),
+        ("vertex count: filters vs 2*fib", "fail"),
+        ("outdegree: census total vs vertex count", "fail"),
+        (CUBE_ERRATUM, "erratum"),
+        (INDEGREE_ERRATUM, "erratum"),
+        (DEGREE_ERRATUM, "erratum"),
+    }
+
+
 def test_expanding_along_another_cutting_fails_the_isomorphism_lines(fresh_memos, monkeypatch):
     # the first other cutting of the same size, so the vertex counts still
     # add up; for the last-element split there are two or three such

@@ -1,3 +1,4 @@
+import copy
 import re
 from itertools import combinations
 
@@ -347,14 +348,27 @@ def test_deletion_counts_match_the_subposets_across_every_mask_byte(p):
     assert_deletion_split(p.dual())
 
 
-def test_deletion_counts_record_no_count_on_the_poset():
-    cold = sfence(9)
-    cold.deletion_counts(5)
-    assert cold._filter_count is None
-    warm = sfence(9)
-    total = warm.count_filters()
-    warm.deletion_counts(5)
-    assert warm._filter_count == total
+def assert_unwritten_by_queries(p):
+    # a deep copy, so a write into a kept dict or list shows as well
+    before = copy.deepcopy(vars(p))
+    p.filter_masks()
+    p.filters()
+    p.count_filters()
+    for x in p.elements:
+        p.deletion_counts(x)
+        p.remove(x)
+        p.star_remove(x)
+    assert vars(p) == before
+
+
+@given(posets(max_size=8))
+@settings(max_examples=60)
+def test_a_poset_is_not_written_after_construction(p):
+    assert_unwritten_by_queries(p)
+
+
+def test_an_sfence_is_not_written_after_construction():
+    assert_unwritten_by_queries(sfence(9))
 
 
 @pytest.mark.parametrize(

@@ -44,3 +44,33 @@ def test_the_import_reader_sees_every_form_of_package_import():
     # verify.py adds `from . import tables`
     assert _package_imports("census") == {"errors", "lattice", "polynomials", "poset"}
     assert "tables" in _package_imports("verify")
+
+
+def _setattr_callers(module: str) -> set[str]:
+    """The innermost functions of ``module`` that call ``object.__setattr__``,
+    by name; a call outside every function is ``<module>``."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__":
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse((PACKAGE / f"{module}.py").read_text()), "<module>")
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_frozen_objects_are_written_only_while_they_are_built(module):
+    # a frozen object set up in __init__ or __post_init__ keeps no hidden
+    # state that a later query writes
+    assert _setattr_callers(module) <= {"__init__", "__post_init__"}
+
+
+def test_the_setattr_reader_sees_the_constructors():
+    assert _setattr_callers("poset") == {"__post_init__"}
+    assert _setattr_callers("polynomials") == {"__init__"}
+    assert _setattr_callers("genfun") == _setattr_callers("lattice") == {"__post_init__"}
